@@ -10,7 +10,7 @@ the residual branch.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class RuntimeOpts:
 
 
 BACKBONE_PREFIX = "backbone."
-HEAD_NAMES = ("head.w", "head.b")
 
 
 def init_backbone(cfg: BackboneConfig, rng: np.random.Generator) -> dict[str, Tensor]:
@@ -227,6 +226,30 @@ def block_forward(
     return T.add(x, branch), n_prompts
 
 
+def embed(weights: dict[str, Tensor], cfg: BackboneConfig, images: np.ndarray) -> Tensor:
+    """Patchify, project, prepend the class token and add positional
+    embeddings. ``images`` are normalized floats shaped [B, C, H, W]."""
+    patches = T.Tensor(patchify(images, cfg))
+    x = T.linear(patches, weights["backbone.patch_proj.w"], weights["backbone.patch_proj.b"])
+    b = x.shape[0]
+    d = cfg.embed_dim
+    cls = T.expand(T.reshape(weights["backbone.cls_token"], (1, 1, d)), (b, 1, d))
+    x = T.concat([cls, x], axis=1)
+    return T.add(x, weights["backbone.pos_embed"])
+
+
+def readout(
+    weights: dict[str, Tensor], cfg: BackboneConfig, x: Tensor, return_features: bool = False
+) -> Tensor:
+    """Final encoder norm, then the class token through the classifier head
+    (or the normed class token itself with ``return_features``)."""
+    x = T.layer_norm(x, weights["backbone.norm.gamma"], weights["backbone.norm.beta"])
+    feats = T.reshape(T.slice_axis(x, 1, 0, 1), (x.shape[0], cfg.embed_dim))
+    if return_features:
+        return feats
+    return T.linear(feats, weights["head.w"], weights["head.b"])
+
+
 def model_forward(
     weights: dict[str, Tensor],
     cfg: BackboneConfig,
@@ -235,31 +258,15 @@ def model_forward(
     opts: RuntimeOpts | None = None,
     return_features: bool = False,
 ) -> Tensor:
-    """Full forward pass: patchify, prepend the class token, add positional
-    embeddings, run all blocks with the prompt context, read out the class
-    token. ``images`` are normalized floats shaped [B, C, H, W]."""
+    """Full forward pass: ``embed``, every block with the prompt context,
+    then ``readout``."""
     prompts = prompts if prompts is not None else empty_context(cfg.num_layers)
     opts = opts if opts is not None else RuntimeOpts(lora_scale=prompts.lora_scale)
-    patches = T.Tensor(patchify(images, cfg))
-    x = T.linear(patches, weights["backbone.patch_proj.w"], weights["backbone.patch_proj.b"])
-    b = x.shape[0]
-    d = cfg.embed_dim
-    cls = T.expand(T.reshape(weights["backbone.cls_token"], (1, 1, d)), (b, 1, d))
-    x = T.concat([cls, x], axis=1)
-    x = T.add(x, weights["backbone.pos_embed"])
+    x = embed(weights, cfg, images)
     n_prompts = 0
     for i in range(cfg.num_layers):
         x, n_prompts = block_forward(x, i, weights, cfg, prompts, opts, n_prompts)
-    x = T.layer_norm(x, weights["backbone.norm.gamma"], weights["backbone.norm.beta"])
-    feats = T.reshape(T.slice_axis(x, 1, 0, 1), (b, d))
-    if return_features:
-        return feats
-    return T.linear(feats, weights["head.w"], weights["head.b"])
-
-
-def sequence_length(cfg: BackboneConfig, config_vpt_dim: int) -> int:
-    """Token-count bookkeeping: class token + patches + active prompt rows."""
-    return 1 + cfg.num_patches + config_vpt_dim
+    return readout(weights, cfg, x, return_features)
 
 
 def pseudo_pretrain(

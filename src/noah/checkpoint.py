@@ -10,6 +10,8 @@ reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,23 @@ class CheckpointError(Exception):
     def __init__(self, kind: str, message: str):
         super().__init__(f"{kind}: {message}")
         self.kind = kind
+
+
+@contextmanager
+def atomic_write(path):
+    """Binary file handle whose contents replace ``path`` only once the block
+    exits cleanly. Writes go to a temp file in the target directory, moved
+    into place with ``os.replace``; if the block raises, the temp file is
+    removed and any previous file at ``path`` is left untouched."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_checkpoint(path, tensors: dict) -> None:
@@ -48,7 +67,7 @@ def save_checkpoint(path, tensors: dict) -> None:
         blobs.append(blob)
         offset += len(blob)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(np.array(VERSION, "<u4").tobytes())
         f.write(np.array(len(header_bytes), "<u8").tobytes())

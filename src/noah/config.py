@@ -80,13 +80,9 @@ class EvolutionSection:
     per_gen_mutation: int = 50
     mutation_prob: float = 0.2
     mutation_scope: str = "gene"
-    workers: int = 1
 
     def to_schedule(self) -> EvolutionSchedule:
-        fields = {f.name for f in dataclasses.fields(EvolutionSchedule)}
-        return EvolutionSchedule(
-            **{k: v for k, v in dataclasses.asdict(self).items() if k in fields}
-        )
+        return EvolutionSchedule(**dataclasses.asdict(self))
 
 
 @dataclass

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_write
+
 log = logging.getLogger("noah.data")
 
 TASKS = ("pattern-class", "shape-count")
@@ -251,17 +253,23 @@ def save_dataset(ds: Dataset, root) -> None:
             "std": [float(v) for v in ds.std],
         },
     }
+    files: dict[str, bytes] = {}
     for split, (images, labels) in sorted(ds.splits.items()):
         images_file = f"{split}_images.bin"
         labels_file = f"{split}_labels.bin"
-        (root / images_file).write_bytes(np.ascontiguousarray(images, np.uint8).tobytes())
-        (root / labels_file).write_bytes(labels.astype("<u2").tobytes())
+        files[images_file] = np.ascontiguousarray(images, np.uint8).tobytes()
+        files[labels_file] = labels.astype("<u2").tobytes()
         manifest["splits"][split] = {
             "images_file": images_file,
             "labels_file": labels_file,
             "count": int(len(labels)),
         }
-    (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    files["manifest.json"] = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+    # Every file is encoded before any is written, so a split that cannot be
+    # stored leaves the previous save untouched; the manifest goes last.
+    for name, blob in files.items():
+        with atomic_write(root / name) as f:
+            f.write(blob)
 
 
 def load_dataset(root) -> Dataset:

@@ -6,19 +6,25 @@ children, mutants, and fresh uniform samples; candidates over budget are
 resampled. Fitness values are cached by canonical encoding, so duplicates
 cost nothing. Ties break toward fewer parameters, then lexicographic
 encoding, which makes the whole search deterministic given one seed.
+
+The fitness function is called once per generation, in the calling thread,
+with that generation's fresh configs: deduplicated, none seen before, in
+production order. It returns one value per config, in the same order, so an
+evaluator can share work across a generation's candidates (the supernet's
+shared-prefix walk does).
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .space import (
     SearchSpaceSpec,
     SpaceError,
@@ -78,10 +84,11 @@ class SearchTrace:
         return [c for g in self.generations for c in g["candidates"]]
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(json.dumps({"type": "meta", **self.meta}, sort_keys=True) + "\n")
+        with atomic_write(path) as f:
+            f.write((json.dumps({"type": "meta", **self.meta}, sort_keys=True) + "\n").encode())
             for record in self.generations:
-                f.write(json.dumps({"type": "generation", **record}, sort_keys=True) + "\n")
+                line = json.dumps({"type": "generation", **record}, sort_keys=True) + "\n"
+                f.write(line.encode())
 
     @staticmethod
     def load(path) -> "SearchTrace":
@@ -106,27 +113,26 @@ def _rank_key(entry: tuple[str, float, int]):
 
 
 def evolve(
-    fitness_fn: Callable[[SubnetConfig], float],
+    fitness_fn: Callable[[list[SubnetConfig]], Sequence[float]],
     spec: SearchSpaceSpec,
     schedule: EvolutionSchedule,
     rng: np.random.Generator,
-    workers: int = 1,
     seed_note: int | None = None,
+    counts: dict[str, int] | None = None,
 ) -> tuple[SubnetConfig, SearchTrace]:
     """Run the search; returns the best config and the full trace.
 
-    Fitness is any deterministic config -> float map (higher is better);
-    production code passes inherited-weight validation accuracy.
+    Fitness is any deterministic map from a list of configs to one value per
+    config (higher is better); production code passes inherited-weight
+    validation accuracy. Each generation record holds ``fresh`` (configs sent
+    to ``fitness_fn``) and ``cache_hits`` (candidates answered without it,
+    repeats within the generation included). ``counts`` is a tally the
+    fitness function adds to; each record also holds how much every key of
+    it grew during that generation.
     """
     cache: dict[str, float] = {}
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     trace = SearchTrace(
-        meta={
-            "schedule": asdict(schedule),
-            "budget": spec.budget,
-            "seed": seed_note,
-            "workers": workers,
-        }
+        meta={"schedule": asdict(schedule), "budget": spec.budget, "seed": seed_note}
     )
 
     def sample_under_budget() -> SubnetConfig:
@@ -143,19 +149,21 @@ def evolve(
         log.debug("production capped out; falling back to a budget-shrunk sample")
         return sample_under_budget()
 
-    def evaluate_batch(batch: list[tuple[str, SubnetConfig]]) -> list[dict]:
-        fresh = []
-        seen_this_batch = set()
+    def evaluate_batch(batch: list[tuple[str, SubnetConfig]]) -> dict:
+        fresh = {}
         for _, config in batch:
             enc = config.encode()
-            if enc not in cache and enc not in seen_this_batch:
-                seen_this_batch.add(enc)
-                fresh.append(config)
+            if enc not in cache:
+                fresh.setdefault(enc, config)
+        before = dict(counts or {})
         if fresh:
-            values = pool.map(fitness_fn, fresh) if pool else map(fitness_fn, fresh)
-            for config, value in zip(fresh, values):
-                cache[config.encode()] = float(value)
-        return [
+            values = fitness_fn(list(fresh.values()))
+            for enc, value in zip(fresh, values, strict=True):
+                cache[enc] = float(value)
+        record = {"fresh": len(fresh), "cache_hits": len(batch) - len(fresh)}
+        for key, value in (counts or {}).items():
+            record[key] = value - before.get(key, 0)
+        record["candidates"] = [
             {
                 "source": source,
                 "config": config.encode(),
@@ -164,6 +172,7 @@ def evolve(
             }
             for source, config in batch
         ]
+        return record
 
     def top_k() -> list[SubnetConfig]:
         entries = [
@@ -180,35 +189,29 @@ def evolve(
         )
         return {"config": enc, "fitness": fitness, "params": params}
 
-    try:
-        batch = [("init", sample_under_budget()) for _ in range(schedule.initial_population)]
+    batch = [("init", sample_under_budget()) for _ in range(schedule.initial_population)]
+    trace.add_generation({"generation": 0, **evaluate_batch(batch), "best_so_far": best_entry()})
+    for gen in range(1, schedule.generations + 1):
+        parents = top_k()
+        batch = []
+        for _ in range(schedule.per_gen_crossover):
+            def cross():
+                if len(parents) >= 2:
+                    i, j = rng.choice(len(parents), size=2, replace=False)
+                else:
+                    i = j = 0
+                return crossover(parents[int(i)], parents[int(j)], rng)
+            batch.append(("crossover", produce(cross)))
+        for _ in range(schedule.per_gen_mutation):
+            def mut():
+                parent = parents[int(rng.integers(len(parents)))]
+                return mutate(parent, spec, schedule.mutation_prob, rng, schedule.mutation_scope)
+            batch.append(("mutation", produce(mut)))
+        for _ in range(schedule.per_gen_random):
+            batch.append(("random", sample_under_budget()))
         trace.add_generation(
-            {"generation": 0, "candidates": evaluate_batch(batch), "best_so_far": best_entry()}
+            {"generation": gen, **evaluate_batch(batch), "best_so_far": best_entry()}
         )
-        for gen in range(1, schedule.generations + 1):
-            parents = top_k()
-            batch = []
-            for _ in range(schedule.per_gen_crossover):
-                def cross():
-                    if len(parents) >= 2:
-                        i, j = rng.choice(len(parents), size=2, replace=False)
-                    else:
-                        i = j = 0
-                    return crossover(parents[int(i)], parents[int(j)], rng)
-                batch.append(("crossover", produce(cross)))
-            for _ in range(schedule.per_gen_mutation):
-                def mut():
-                    parent = parents[int(rng.integers(len(parents)))]
-                    return mutate(parent, spec, schedule.mutation_prob, rng, schedule.mutation_scope)
-                batch.append(("mutation", produce(mut)))
-            for _ in range(schedule.per_gen_random):
-                batch.append(("random", sample_under_budget()))
-            trace.add_generation(
-                {"generation": gen, "candidates": evaluate_batch(batch), "best_so_far": best_entry()}
-            )
-    finally:
-        if pool:
-            pool.shutdown()
     best = best_entry()
     log.info("search done: best %s fitness %.4f (%d params)",
              best["config"], best["fitness"], best["params"])

@@ -146,17 +146,18 @@ def evolve_stage(
 ) -> tuple[S.SubnetConfig, SearchTrace]:
     images, labels = dataset.normalized("val")
     rng = np.random.default_rng(run.seed + 1)
+    counts: dict[str, int] = {}
 
-    def fitness(config: S.SubnetConfig) -> float:
-        return evaluate(sn, images, labels, config)
+    def fitness(configs: list[S.SubnetConfig]) -> list[float]:
+        return evaluate(sn, images, labels, configs, counts=counts)
 
     return evolve(
         fitness,
         sn.spec,
         run.evolution.to_schedule(),
         rng,
-        workers=run.evolution.workers,
         seed_note=run.seed + 1,
+        counts=counts,
     )
 
 

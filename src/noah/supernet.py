@@ -4,20 +4,30 @@ Each training step samples one subnet uniformly, runs it, and updates only
 the bank prefixes that subnet touched (plus the always-trainable classifier
 head). Any subnet can then be evaluated with inherited weights, or extracted
 into a standalone model that reproduces the supernet forward bit for bit.
+
+Inherited-weight evaluation scores a whole list of subnets at once. The
+hidden state entering layer l depends only on the embedding and on the
+per-layer genes of layers < l, so ``evaluate`` walks the configs depth-first
+over their per-layer (adapter, lora, vpt) dims and runs each distinct layer
+prefix once. Blocks always run on one prefix's state alone, never batched
+across candidates, so every accuracy is bit-identical to a whole
+``model_forward`` of that config.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import backbone as B
 from . import tensor as T
 from .backbone import BackboneConfig, RuntimeOpts, model_forward
 from .optim import AdamW, OptimHyper, TrainingDivergedError, batch_slices, full_region, run_training
 from .prompts import PromptContext, bank_regions, init_prompt_banks, init_subnet_tensors
-from .space import SearchSpaceSpec, SubnetConfig, sample_uniform
+from .space import MODULES, SearchSpaceSpec, SubnetConfig, sample_uniform
 from .tensor import Tensor
 
 HEAD_NAMES = ("head.w", "head.b")
@@ -127,13 +137,51 @@ def evaluate(
     sn: Supernet,
     images: np.ndarray,
     labels: np.ndarray,
-    config: SubnetConfig,
+    configs: Sequence[SubnetConfig],
     batch_size: int = 256,
-) -> float:
-    """Deterministic top-1 accuracy with inherited weights; no gradients."""
-    return _evaluate_forward(
-        lambda x: sn.forward(x, config), images, labels, batch_size
-    )
+    counts: dict[str, int] | None = None,
+) -> list[float]:
+    """Deterministic top-1 accuracy of each config with inherited weights, in
+    order; no gradients. Each batch slice is embedded once, then the blocks
+    run along the shared-prefix walk, keeping only the current path's hidden
+    states alive. ``counts["block_forwards"]``, when given, grows by the
+    number of blocks run."""
+    n = len(labels)
+    if n == 0:
+        raise ValueError("cannot evaluate on an empty split")
+    contexts = [sn.context(c) for c in configs]
+    correct = [0] * len(configs)
+    blocks = 0
+
+    def walk(layer: int, members: list[int], x: Tensor, n_prompts: int, y: np.ndarray):
+        nonlocal blocks
+        if layer == sn.cfg.num_layers:
+            hits = int((B.readout(sn.weights, sn.cfg, x).data.argmax(axis=1) == y).sum())
+            for i in members:
+                correct[i] += hits
+            return
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i in members:
+            key = tuple(configs[i].active_dim(m, layer) for m in MODULES)
+            groups.setdefault(key, []).append(i)
+        for group in groups.values():
+            blocks += 1
+            walk(
+                layer + 1,
+                group,
+                *B.block_forward(
+                    x, layer, sn.weights, sn.cfg, contexts[group[0]], sn.opts, n_prompts
+                ),
+                y,
+            )
+
+    with T.no_grad():
+        for lo, hi in batch_slices(n, batch_size):
+            x = B.embed(sn.weights, sn.cfg, images[lo:hi])
+            walk(0, list(range(len(configs))), x, 0, labels[lo:hi])
+    if counts is not None:
+        counts["block_forwards"] = counts.get("block_forwards", 0) + blocks
+    return [c / n for c in correct]
 
 
 def evaluate_model(

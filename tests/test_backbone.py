@@ -34,7 +34,6 @@ def rand_images(cfg, batch, seed=0, dtype=np.float32):
 class TestConfig:
     def test_token_count(self):
         assert CFG.num_tokens == 17
-        assert B.sequence_length(CFG, 5) == 22
 
     def test_rejects_bad_dims(self):
         with pytest.raises(B.ModelError):
@@ -147,21 +146,13 @@ class TestForward:
         )
         images = rand_images(cfg, 1, seed=13)
         x, n = B.block_forward(
-            self._embed(weights, cfg, images), 0, weights, cfg,
+            B.embed(weights, cfg, images), 0, weights, cfg,
             PromptContext(weights, config), B.RuntimeOpts(), 0
         )
         assert x.shape[1] == cfg.num_tokens + 3 and n == 3
         # next layer has no vpt: prompts are dropped again
         x, n = B.block_forward(x, 1, weights, cfg, PromptContext(weights, config), B.RuntimeOpts(), n)
         assert x.shape[1] == cfg.num_tokens and n == 0
-
-    @staticmethod
-    def _embed(weights, cfg, images):
-        patches = T.Tensor(B.patchify(images, cfg))
-        x = T.linear(patches, weights["backbone.patch_proj.w"], weights["backbone.patch_proj.b"])
-        b = x.shape[0]
-        cls = T.expand(T.reshape(weights["backbone.cls_token"], (1, 1, cfg.embed_dim)), (b, 1, cfg.embed_dim))
-        return T.add(T.concat([cls, x], axis=1), weights["backbone.pos_embed"])
 
     def test_vpt_token_gradient_vs_finite_differences(self):
         cfg = tiny_cfg()

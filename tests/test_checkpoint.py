@@ -39,6 +39,33 @@ class TestRoundTrip:
             C.save_checkpoint(tmp_path / "e.ckpt", {})
 
 
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        C.save_checkpoint(path, sample_tensors(0))
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            with C.atomic_write(path) as f:
+                f.write(b"NOAH partial")
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["a.ckpt"]
+
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.ckpt"
+        C.save_checkpoint(path, sample_tensors(0))
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("interrupted before the rename")
+
+        monkeypatch.setattr(C.os, "replace", fail)
+        with pytest.raises(OSError, match="rename"):
+            C.save_checkpoint(path, sample_tensors(1))
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["a.ckpt"]
+
+
 class TestCorruption:
     def write(self, tmp_path):
         path = tmp_path / "c.ckpt"

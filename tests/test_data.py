@@ -143,6 +143,17 @@ class TestOnDiskFormat:
         with pytest.raises(D.DataError, match="manifest implies"):
             D.load_dataset(tmp_path / "ds")
 
+    def test_failed_save_keeps_previous_files(self, tmp_path):
+        root = tmp_path / "ds"
+        D.save_dataset(D.gen_synthetic("pattern-class", 4, 40, seed=4), root)
+        before = {f.name: f.read_bytes() for f in root.iterdir()}
+        ds = D.gen_synthetic("pattern-class", 4, 40, seed=5)
+        images, labels = ds.splits["val"]
+        ds.splits["val"] = (images, np.array([object()] * len(labels)))  # not storable as u16
+        with pytest.raises(TypeError):
+            D.save_dataset(ds, root)
+        assert {f.name: f.read_bytes() for f in root.iterdir()} == before
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(D.DataError, match="manifest"):
             D.load_dataset(tmp_path / "nope")

@@ -33,6 +33,10 @@ def toy_fitness(cfg: S.SubnetConfig) -> float:
     return score
 
 
+def toy_batch(configs: list[S.SubnetConfig]) -> list[float]:
+    return [toy_fitness(c) for c in configs]
+
+
 def enumerate_valid(spec: S.SearchSpaceSpec):
     """Brute-force oracle: every canonical config in the gene space."""
     per_module = []
@@ -61,7 +65,7 @@ class TestEvolve:
     def test_zero_generations_returns_best_initial(self):
         spec = toy_spec()
         schedule = small_schedule(generations=0)
-        best, trace = E.evolve(toy_fitness, spec, schedule, np.random.default_rng(0))
+        best, trace = E.evolve(toy_batch, spec, schedule, np.random.default_rng(0))
         assert len(trace.generations) == 1
         fits = [c["fitness"] for c in trace.generations[0]["candidates"]]
         assert trace.generations[0]["best_so_far"]["fitness"] == max(fits)
@@ -69,14 +73,14 @@ class TestEvolve:
 
     def test_budget_never_violated(self):
         spec = toy_spec(budget=300)
-        _, trace = E.evolve(toy_fitness, spec, small_schedule(), np.random.default_rng(1))
+        _, trace = E.evolve(toy_batch, spec, small_schedule(), np.random.default_rng(1))
         for c in trace.all_candidates():
             assert c["params"] <= 300
             assert S.spec_count(spec, S.SubnetConfig.decode(c["config"])) == c["params"]
 
     def test_elitism_and_monotone_curve(self):
         spec = toy_spec()
-        _, trace = E.evolve(toy_fitness, spec, small_schedule(), np.random.default_rng(2))
+        _, trace = E.evolve(toy_batch, spec, small_schedule(), np.random.default_rng(2))
         curve = trace.best_so_far_curve()
         assert all(a <= b for a, b in zip(curve, curve[1:]))
         gen0_best = trace.generations[0]["best_so_far"]["fitness"]
@@ -87,7 +91,7 @@ class TestEvolve:
         paths = []
         for run in range(2):
             _, trace = E.evolve(
-                toy_fitness, spec, small_schedule(), np.random.default_rng(42), seed_note=42
+                toy_batch, spec, small_schedule(), np.random.default_rng(42), seed_note=42
             )
             p = tmp_path / f"t{run}.jsonl"
             trace.save(p)
@@ -95,27 +99,26 @@ class TestEvolve:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_duplicates_hit_cache(self):
+        """One fitness call per generation, holding exactly that generation's
+        unseen configs, deduplicated, in production order."""
         spec = toy_spec()
         calls = []
 
-        def counting_fitness(cfg):
-            calls.append(cfg.encode())
-            return toy_fitness(cfg)
+        def counting_fitness(configs):
+            calls.append([c.encode() for c in configs])
+            return toy_batch(configs)
 
-        _, trace = E.evolve(counting_fitness, spec, small_schedule(), np.random.default_rng(3))
-        evaluated = [c["config"] for c in trace.all_candidates()]
-        assert len(calls) == len(set(calls))
-        assert set(evaluated) == set(calls)
-        assert len(evaluated) > len(calls)  # some candidates repeated
-
-    def test_workers_match_single_thread(self):
-        spec = toy_spec()
-        best1, trace1 = E.evolve(toy_fitness, spec, small_schedule(), np.random.default_rng(4))
-        best4, trace4 = E.evolve(
-            toy_fitness, spec, small_schedule(), np.random.default_rng(4), workers=4
-        )
-        assert best1 == best4
-        assert trace1.generations == trace4.generations
+        schedule = small_schedule()
+        _, trace = E.evolve(counting_fitness, spec, schedule, np.random.default_rng(3))
+        assert len(calls) == schedule.generations + 1
+        seen = set()
+        for call, generation in zip(calls, trace.generations):
+            batch = [c["config"] for c in generation["candidates"]]
+            assert call == list(dict.fromkeys(e for e in batch if e not in seen))
+            assert generation["fresh"] == len(call)
+            assert generation["cache_hits"] == len(batch) - len(call)
+            seen |= set(call)
+        assert len(trace.all_candidates()) > len(seen)  # some candidates repeated
 
     def test_finds_near_optimum_on_toy_space(self):
         spec = toy_spec(budget=350)
@@ -123,14 +126,16 @@ class TestEvolve:
         cutoff = ranked[max(1, len(ranked) // 100) - 1]
         hits = 0
         for seed in range(5):
-            best, _ = E.evolve(toy_fitness, spec, small_schedule(generations=5),
+            best, _ = E.evolve(toy_batch, spec, small_schedule(generations=5),
                                np.random.default_rng(seed))
             hits += toy_fitness(best) >= cutoff
         assert hits >= 4
 
     def test_tie_break_prefers_fewer_params(self):
         spec = toy_spec()
-        best, trace = E.evolve(lambda cfg: 1.0, spec, small_schedule(), np.random.default_rng(5))
+        best, trace = E.evolve(
+            lambda configs: [1.0] * len(configs), spec, small_schedule(), np.random.default_rng(5)
+        )
         # constant fitness: the cheapest evaluated config must win
         cheapest = min(c["params"] for c in trace.all_candidates())
         assert S.spec_count(spec, best) == cheapest
@@ -139,16 +144,28 @@ class TestEvolve:
 class TestTraceFile:
     def test_roundtrip(self, tmp_path):
         spec = toy_spec()
-        _, trace = E.evolve(toy_fitness, spec, small_schedule(), np.random.default_rng(6))
+        _, trace = E.evolve(toy_batch, spec, small_schedule(), np.random.default_rng(6))
         p = tmp_path / "trace.jsonl"
         trace.save(p)
         loaded = E.SearchTrace.load(p)
         assert loaded.meta == trace.meta
         assert loaded.generations == trace.generations
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        spec = toy_spec()
+        _, trace = E.evolve(toy_batch, spec, small_schedule(), np.random.default_rng(11))
+        p = tmp_path / "trace.jsonl"
+        trace.save(p)
+        before = p.read_bytes()
+        trace.generations[1]["bad"] = object()  # not JSON: raises after two lines are written
+        with pytest.raises(TypeError):
+            trace.save(p)
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["trace.jsonl"]
+
     def test_lines_are_json(self, tmp_path):
         spec = toy_spec()
-        _, trace = E.evolve(toy_fitness, spec, small_schedule(generations=1),
+        _, trace = E.evolve(toy_batch, spec, small_schedule(generations=1),
                             np.random.default_rng(7))
         p = tmp_path / "trace.jsonl"
         trace.save(p)
@@ -161,21 +178,21 @@ class TestReport:
     def test_single_generation_counts(self):
         spec = toy_spec()
         schedule = small_schedule(generations=0, initial_population=12)
-        _, trace = E.evolve(toy_fitness, spec, schedule, np.random.default_rng(8))
+        _, trace = E.evolve(toy_batch, spec, schedule, np.random.default_rng(8))
         text, summary = E.report(trace)
         assert summary["evaluations_per_generation"] == [12]
         assert "best config" in text
 
     def test_monotone_curve_in_summary(self):
         spec = toy_spec()
-        _, trace = E.evolve(toy_fitness, spec, small_schedule(), np.random.default_rng(9))
+        _, trace = E.evolve(toy_batch, spec, small_schedule(), np.random.default_rng(9))
         _, summary = E.report(trace)
         curve = summary["fitness_curve"]
         assert all(a <= b for a, b in zip(curve, curve[1:]))
 
     def test_averages_recomputable_from_trace_file(self, tmp_path):
         spec = toy_spec()
-        _, trace = E.evolve(toy_fitness, spec, small_schedule(), np.random.default_rng(10))
+        _, trace = E.evolve(toy_batch, spec, small_schedule(), np.random.default_rng(10))
         p = tmp_path / "trace.jsonl"
         trace.save(p)
         _, summary = E.report(trace, top_k=5)

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from noah import supernet as SN
+from noah import tensor as T
 from noah.backbone import BackboneConfig, backbone_hash, init_backbone, freeze_backbone
-from noah.optim import OptimHyper
-from noah.space import ModuleGene, SearchSpaceSpec, SubnetConfig, count_params, sample_uniform
+from noah.optim import OptimHyper, batch_slices
+from noah.space import (
+    MODULES, ModuleGene, SearchSpaceSpec, SubnetConfig, count_params, sample_uniform,
+)
 from noah.tensor import Tensor
 
 
@@ -34,6 +37,17 @@ def hyper(epochs, **kw):
     defaults = dict(base_lr=1e-3, total_epochs=epochs, warmup_epochs=min(1, epochs), batch_size=8)
     defaults.update(kw)
     return OptimHyper(**defaults)
+
+
+def randomized_setup(seed):
+    """tiny_setup with trained-ish banks: random up-projections and VPT rows,
+    so every active prompt module changes the output."""
+    cfg, spec, sn = tiny_setup(seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for name, t in sn.weights.items():
+        if "w_up" in name or name.endswith(".P"):
+            t.data[...] = rng.standard_normal(t.shape).astype(np.float32) * 0.2
+    return cfg, spec, sn, rng
 
 
 def all_weights_snapshot(sn):
@@ -76,7 +90,6 @@ class TestTraining:
         before = all_weights_snapshot(sn)
 
         # one manual training step on a pinned config
-        from noah import tensor as T
         from noah.optim import AdamW
         opt = AdamW(sn.trainable(), hyper(1))
         loss = T.cross_entropy(sn.forward(images, config), labels)
@@ -116,7 +129,7 @@ class TestEvaluate:
         w = np.stack([feats[0] - feats[1], feats[1] - feats[0]], axis=1)
         sn.weights["head.w"] = Tensor(w.astype(np.float32), requires_grad=True)
         sn.weights["head.b"] = Tensor(np.zeros(2, np.float32), requires_grad=True)
-        assert SN.evaluate(sn, images, labels, config) == 1.0
+        assert SN.evaluate(sn, images, labels, [config]) == [1.0]
 
     def test_random_head_matches_chance(self):
         cfg, spec, sn = tiny_setup(num_classes=4, seed=10)
@@ -124,7 +137,7 @@ class TestEvaluate:
         n = 2000
         images = rng.uniform(-1, 1, (n,) + cfg.image_shape).astype(np.float32)
         labels = rng.integers(0, 4, n).astype(np.int64)  # independent of images
-        acc = SN.evaluate(sn, images, labels, sample_uniform(spec, rng))
+        [acc] = SN.evaluate(sn, images, labels, [sample_uniform(spec, rng)])
         p = 0.25
         three_sigma = 3 * np.sqrt(p * (1 - p) / n)
         assert abs(acc - p) < three_sigma
@@ -134,8 +147,8 @@ class TestEvaluate:
         images, labels = rand_data(cfg, 40, seed=13)
         config = sample_uniform(spec, np.random.default_rng(14))
         before = all_weights_snapshot(sn)
-        a1 = SN.evaluate(sn, images, labels, config)
-        a2 = SN.evaluate(sn, images, labels, config)
+        a1 = SN.evaluate(sn, images, labels, [config])
+        a2 = SN.evaluate(sn, images, labels, [config])
         assert a1 == a2
         for name, arr in before.items():
             assert np.array_equal(sn.weights[name].data, arr)
@@ -144,17 +157,83 @@ class TestEvaluate:
         cfg, spec, sn = tiny_setup()
         with pytest.raises(ValueError, match="empty"):
             SN.evaluate(sn, np.zeros((0,) + cfg.image_shape, np.float32), np.zeros(0, np.int64),
-                        SubnetConfig.empty(2))
+                        [SubnetConfig.empty(2)])
+
+
+def walk_configs():
+    """Two-layer configs covering the shapes of the shared-prefix walk."""
+    def config(adapter, lora, vpt):
+        genes = [ModuleGene(sum(1 for d in dims if d), dims) for dims in (adapter, lora, vpt)]
+        return SubnetConfig(*genes)
+
+    return [
+        config((2, 4), (1, 0), (2, 0)),
+        config((2, 1), (1, 0), (2, 0)),  # shares layer 0 with the first
+        config((2, 4), (1, 0), (2, 0)),  # duplicate of the first
+        config((2, 4), (1, 0), (2, 4)),  # deeper VPT: prompts carried into layer 1
+        config((2, 4), (1, 0), (2, 1)),  # same depth, fewer layer-1 prompt rows
+        config((4, 4), (2, 2), (4, 4)),  # nothing shared
+        config((0, 0), (0, 0), (0, 0)),  # empty subnet
+        config((0, 0), (0, 0), (1, 0)),  # VPT only
+    ]
+
+
+def labels_for(sn, images, config):
+    """Centre the head bias on ``config``'s mean logits, so predictions
+    spread over the classes, and return its predictions as labels: ``config``
+    scores 1.0 and a block run with the wrong prefix changes accuracies."""
+    with T.no_grad():
+        logits = sn.forward(images, config).data
+        sn.weights["head.b"].data[...] -= logits.mean(axis=0)
+        return sn.forward(images, config).data.argmax(axis=1)
+
+
+class TestSharedWalk:
+    def test_batch_equals_one_config_at_a_time(self):
+        cfg, spec, sn, rng = randomized_setup(seed=30)
+        configs = walk_configs() + [sample_uniform(spec, rng) for _ in range(12)]
+        images, _ = rand_data(cfg, 40, seed=31)
+        labels = labels_for(sn, images, configs[3])
+        alone = [SN.evaluate(sn, images, labels, [c])[0] for c in configs]
+        assert len(set(alone)) > 2
+        assert SN.evaluate(sn, images, labels, configs) == alone
+
+    def test_equals_whole_forward_across_batch_slices(self):
+        cfg, spec, sn, _ = randomized_setup(seed=32)
+        configs = walk_configs()
+        images, _ = rand_data(cfg, 37, seed=33)
+        labels = labels_for(sn, images, configs[0])
+        batch_size = 16  # 37 samples: two full slices and a ragged one
+        expected = []
+        with T.no_grad():
+            for c in configs:
+                correct = 0
+                for lo, hi in batch_slices(len(labels), batch_size):
+                    logits = sn.forward(images[lo:hi], c).data
+                    correct += int((logits.argmax(axis=1) == labels[lo:hi]).sum())
+                expected.append(correct / len(labels))
+        assert len(set(expected)) > 2
+
+        counts = {}
+        got = SN.evaluate(sn, images, labels, configs, batch_size=batch_size, counts=counts)
+        assert got == expected
+
+        def active(c, layers):
+            return tuple(c.active_dim(m, j) for j in range(layers) for m in MODULES)
+
+        prefixes = sum(len({active(c, layer + 1) for c in configs}) for layer in range(2))
+        assert counts["block_forwards"] == 3 * prefixes
+
+    def test_grad_mode_restored(self):
+        cfg, spec, sn, _ = randomized_setup(seed=34)
+        images, labels = rand_data(cfg, 8, seed=35)
+        SN.evaluate(sn, images, labels, walk_configs())
+        assert T.grad_enabled()
 
 
 class TestExtraction:
     def test_forward_bit_equal_to_supernet(self):
-        cfg, spec, sn = tiny_setup(seed=15)
-        rng = np.random.default_rng(16)
-        # trained-ish banks: randomize up-projections so outputs are non-trivial
-        for name, t in sn.weights.items():
-            if "w_up" in name or name.endswith(".P"):
-                t.data[...] = rng.standard_normal(t.shape).astype(np.float32) * 0.2
+        cfg, spec, sn, rng = randomized_setup(seed=15)
         for _ in range(10):
             config = sample_uniform(spec, rng)
             images, _ = rand_data(cfg, 3, seed=int(rng.integers(2**31)))
@@ -180,11 +259,7 @@ class TestExtraction:
         assert trainable == {"head.w", "head.b"}
 
     def test_perturbing_beyond_prefix_changes_nothing(self):
-        cfg, spec, sn = tiny_setup(seed=19)
-        rng = np.random.default_rng(20)
-        for name, t in sn.weights.items():
-            if "w_up" in name or name.endswith(".P"):
-                t.data[...] = rng.standard_normal(t.shape).astype(np.float32) * 0.2
+        cfg, spec, sn, rng = randomized_setup(seed=19)
         config = SubnetConfig(
             adapter=ModuleGene(1, (2, 0)), lora=ModuleGene(1, (1, 0)), vpt=ModuleGene(1, (2, 0))
         )

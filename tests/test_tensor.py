@@ -186,6 +186,10 @@ class TestBackward:
         with T.no_grad():
             y = T.mul(x, x)
         assert not y.requires_grad
+        with pytest.raises(RuntimeError):  # the flag comes back on an exception too
+            with T.no_grad():
+                raise RuntimeError("inside no_grad")
+        assert T.grad_enabled()
 
 
 class TestShapeOps:
