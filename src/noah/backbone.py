@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .prompts import PromptContext, adapter_bottleneck, empty_context, inject_prompts, lora_delta
+from .prompts import PromptContext, adapter_bottleneck, inject_prompts, lora_delta
+from .space import SubnetConfig
 from .tensor import Tensor
 
 
@@ -61,14 +62,6 @@ class BackboneConfig:
     @property
     def patch_dim(self) -> int:
         return self.image_shape[0] * self.patch_size * self.patch_size
-
-
-@dataclass
-class RuntimeOpts:
-    """Forward-pass switches that are not part of the architecture gene."""
-
-    adapter_skip: bool = False  # residual assembled inside the adapter branch
-    lora_scale: float = 1.0
 
 
 BACKBONE_PREFIX = "backbone."
@@ -158,7 +151,6 @@ def msa_forward(
     layer: int,
     cfg: BackboneConfig,
     prompts: PromptContext,
-    opts: RuntimeOpts,
 ) -> Tensor:
     """softmax(q kT / sqrt(head_dim)) v per head, heads merged, projected.
     LoRA deltas land on q and k before the attention product."""
@@ -169,9 +161,8 @@ def msa_forward(
     lora = prompts.lora_at(layer)
     if lora is not None:
         q_down, q_up, k_down, k_up, r = lora
-        s = prompts.lora_scale
-        q = T.add(q, lora_delta(xn, q_down, q_up, r, s))
-        k = T.add(k, lora_delta(xn, k_down, k_up, r, s))
+        q = T.add(q, lora_delta(xn, q_down, q_up, r))
+        k = T.add(k, lora_delta(xn, k_down, k_up, r))
 
     b, n, d = q.shape
     heads, hd = cfg.num_heads, cfg.head_dim
@@ -192,7 +183,6 @@ def block_forward(
     weights: dict[str, Tensor],
     cfg: BackboneConfig,
     prompts: PromptContext,
-    opts: RuntimeOpts,
     n_prompts: int,
 ) -> tuple[Tensor, int]:
     """One transformer block: prompt-token injection, attention with LoRA,
@@ -203,7 +193,7 @@ def block_forward(
 
     p = f"backbone.L{layer}."
     xn = T.layer_norm(x, weights[p + "ln1.gamma"], weights[p + "ln1.beta"])
-    x = T.add(x, msa_forward(xn, weights, layer, cfg, prompts, opts))
+    x = T.add(x, msa_forward(xn, weights, layer, cfg, prompts))
 
     un = T.layer_norm(x, weights[p + "ln2.gamma"], weights[p + "ln2.beta"])
     mlp_out = T.linear(
@@ -218,8 +208,7 @@ def block_forward(
         # Both adapter readings coincide at this attachment point: a skipless
         # bottleneck adding its output to the branch, and a bottleneck with an
         # internal residual whose output replaces the branch, assemble the
-        # same sum mlp_out + delta. opts.adapter_skip records the intended
-        # reading without changing the computation.
+        # same sum mlp_out + delta.
         branch = T.add(mlp_out, delta)
     else:
         branch = mlp_out
@@ -255,17 +244,16 @@ def model_forward(
     cfg: BackboneConfig,
     images: np.ndarray,
     prompts: PromptContext | None = None,
-    opts: RuntimeOpts | None = None,
     return_features: bool = False,
 ) -> Tensor:
-    """Full forward pass: ``embed``, every block with the prompt context,
-    then ``readout``."""
-    prompts = prompts if prompts is not None else empty_context(cfg.num_layers)
-    opts = opts if opts is not None else RuntimeOpts(lora_scale=prompts.lora_scale)
+    """Full forward pass: ``embed``, every block with the prompt context
+    (none by default), then ``readout``."""
+    if prompts is None:
+        prompts = PromptContext({}, SubnetConfig.empty(cfg.num_layers))
     x = embed(weights, cfg, images)
     n_prompts = 0
     for i in range(cfg.num_layers):
-        x, n_prompts = block_forward(x, i, weights, cfg, prompts, opts, n_prompts)
+        x, n_prompts = block_forward(x, i, weights, cfg, prompts, n_prompts)
     return readout(weights, cfg, x, return_features)
 
 

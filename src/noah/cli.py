@@ -1,0 +1,72 @@
+"""Command-line entry point.
+
+``noah run --config run.json --data DIR --out OUT`` trains the supernet,
+searches it and retrains the best subnet. ``DIR`` is a dataset directory
+written by ``data.save_dataset``; without ``--data`` the config's
+``dataset.path`` is used. ``OUT`` receives:
+
+* ``config.json``: the resolved run config, defaults filled in;
+* ``supernet.noah`` and ``subnet.noah``: the trained supernet and the
+  retrained best subnet (``checkpoint`` format);
+* ``search_trace.jsonl``: the search trace (``SearchTrace.load`` reads it);
+* ``report.txt``: the search summary from ``evolution.report``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import logging
+import sys
+from pathlib import Path
+
+from . import pipeline as P
+from .checkpoint import atomic_write
+from .config import ConfigError, load_run_config, write_resolved
+from .data import DataError, load_dataset
+from .evolution import report
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(prog="noah", description=__doc__.splitlines()[0])
+    commands = parser.add_subparsers(dest="command", required=True)
+    run_cmd = commands.add_parser(
+        "run", help="train the supernet, search it, and retrain the best subnet"
+    )
+    run_cmd.add_argument("--config", required=True, help="run config JSON file")
+    run_cmd.add_argument("--data", help="dataset directory (overrides dataset.path)")
+    run_cmd.add_argument("--out", required=True, help="output directory")
+    args = parser.parse_args(argv)
+
+    try:
+        run = load_run_config(args.config)
+        run.dataset.path = args.data or run.dataset.path
+        if run.dataset.path is None:
+            raise ConfigError("no dataset: pass --data or set dataset.path")
+        dataset = load_dataset(run.dataset.path)
+        missing = {"train", "val"} - set(dataset.splits)
+        if missing:
+            raise DataError(f"{run.dataset.path}: no {sorted(missing)} split")
+    except (ConfigError, DataError) as exc:
+        parser.error(str(exc))
+
+    logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_resolved(run, out)
+    sn, _ = P.train_supernet_stage(run, dataset)
+    P.save_model_weights(out / "supernet.noah", sn.weights)
+    best, trace = P.evolve_stage(run, sn, dataset)
+    trace.save(out / "search_trace.jsonl")
+    text, _ = report(trace)
+    with atomic_write(out / "report.txt") as f:
+        f.write(text.encode())
+    model, retrain_log = P.retrain_stage(run, sn, best, dataset)
+    P.save_model_weights(out / "subnet.noah", model.weights)
+    print(text)
+    if retrain_log:
+        print(f"retrained {best.encode()}: val_acc {retrain_log[-1]['val_acc']:.4f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

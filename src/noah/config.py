@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .checkpoint import atomic_write
 from .evolution import EvolutionSchedule
 from .optim import OptimHyper
 from .space import MODULES
@@ -87,9 +88,6 @@ class EvolutionSection:
 
 @dataclass
 class RuntimeSection:
-    adapter_skip: bool = False
-    lora_scale: float = 1.0
-    decay_vpt: bool = False
     debug_validation: bool = False
     retrain_from_scratch: bool = False
 
@@ -204,5 +202,6 @@ def load_run_config(path) -> RunConfig:
 def write_resolved(run: RunConfig, out_dir) -> Path:
     """Persist the defaults-filled config next to a command's outputs."""
     out = Path(out_dir) / "config.json"
-    out.write_text(run.to_json())
+    with atomic_write(out) as f:
+        f.write(run.to_json().encode())
     return out

@@ -289,19 +289,19 @@ def load_dataset(root) -> Dataset:
     c, h, w = image_shape
     splits = {}
     for split, entry in split_entries.items():
-        count = int(entry["count"])
-        raw = (root / entry["images_file"]).read_bytes()
+        try:
+            count = int(entry["count"])
+            images_file, labels_file = entry["images_file"], entry["labels_file"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed manifest {path}: split {split!r}: {exc!r}") from exc
+        raw = (root / images_file).read_bytes()
         expected = count * c * h * w
         if len(raw) != expected:
-            raise DataError(
-                f"{entry['images_file']}: {len(raw)} bytes, manifest implies {expected}"
-            )
+            raise DataError(f"{images_file}: {len(raw)} bytes, manifest implies {expected}")
         images = np.frombuffer(raw, np.uint8).reshape(count, c, h, w)
-        raw = (root / entry["labels_file"]).read_bytes()
+        raw = (root / labels_file).read_bytes()
         if len(raw) != count * 2:
-            raise DataError(
-                f"{entry['labels_file']}: {len(raw)} bytes, manifest implies {count * 2}"
-            )
+            raise DataError(f"{labels_file}: {len(raw)} bytes, manifest implies {count * 2}")
         labels = np.frombuffer(raw, "<u2").astype(np.uint16)
         if labels.size and labels.max() >= num_classes:
             raise DataError(f"label {labels.max()} out of range for {num_classes} classes")

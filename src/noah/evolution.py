@@ -95,12 +95,20 @@ class SearchTrace:
         lines = Path(path).read_text().splitlines()
         if not lines:
             raise EvolutionError(f"empty trace file {path}")
-        meta = json.loads(lines[0])
+        records = []
+        for number, line in enumerate(lines, 1):
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise EvolutionError(f"{path}:{number}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise EvolutionError(f"{path}:{number}: record is not a JSON object")
+            records.append(record)
+        meta = records[0]
         if meta.pop("type", None) != "meta":
             raise EvolutionError(f"{path} does not start with a meta record")
         trace = SearchTrace(meta)
-        for line in lines[1:]:
-            record = json.loads(line)
+        for record in records[1:]:
             if record.pop("type", None) != "generation":
                 raise EvolutionError("unexpected record type in trace")
             trace.add_generation(record)

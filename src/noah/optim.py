@@ -65,7 +65,7 @@ def lr_at(step: int, total_steps: int, hyper: OptimHyper) -> float:
     return max(lr, 1e-6 * hyper.base_lr)
 
 
-def default_decay_filter(name: str, t: Tensor) -> bool:
+def decays(name: str, t: Tensor) -> bool:
     """Decay weight matrices only: no biases, norms, or prompt-token banks."""
     return t.data.ndim >= 2 and not name.endswith(".P")
 
@@ -81,15 +81,10 @@ class AdamW:
     left bit-for-bit untouched, including its moments.
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        hyper: OptimHyper,
-        decay_filter: Callable[[str, Tensor], bool] = default_decay_filter,
-    ):
+    def __init__(self, params: dict[str, Tensor], hyper: OptimHyper):
         self.params = dict(params)
         self.hyper = hyper
-        self.decay = {name: decay_filter(name, t) for name, t in self.params.items()}
+        self.decay = {name: decays(name, t) for name, t in self.params.items()}
         self.m = {name: np.zeros_like(t.data) for name, t in self.params.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in self.params.items()}
         self.t = {name: np.zeros(t.shape, np.int64) for name, t in self.params.items()}

@@ -1,7 +1,11 @@
 """End-to-end stages wiring the run config to the model machinery.
 
 Each stage is a plain function over (RunConfig, Dataset, seeds) so the CLI,
-the tests, and notebook use all share one code path.
+the tests, and notebook use all share one code path. Every stage builds or
+takes a ``PromptedModel``: the supernet, a subnet extracted from it, or a
+freshly initialized subnet. Training goes through ``train_model`` and every
+accuracy through ``evaluate``, so a checkpoint's reloaded accuracy is the
+one the stage logged.
 """
 
 from __future__ import annotations
@@ -11,29 +15,19 @@ import logging
 import numpy as np
 
 from . import space as S
-from .backbone import (
-    BackboneConfig,
-    RuntimeOpts,
-    init_backbone,
-    pseudo_pretrain,
-    reinit_head,
-)
+from .backbone import BackboneConfig, freeze_backbone, init_backbone, pseudo_pretrain, reinit_head
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig
 from .data import Dataset, gen_mixed_base_task
 from .evolution import SearchTrace, evolve
 from .optim import OptimHyper
-from .prompts import PromptContext
 from .supernet import (
-    SubnetModel,
-    Supernet,
+    PromptedModel,
     build_supernet,
     evaluate,
     extract_subnet,
     fresh_subnet,
-    train_subnet,
-    train_supernet,
-    _evaluate_forward,
+    train_model,
 )
 from .tensor import Tensor, set_debug_validation
 
@@ -51,11 +45,6 @@ def backbone_config(run: RunConfig, dataset: Dataset) -> BackboneConfig:
         image_shape=dataset.image_shape,
         num_classes=dataset.num_classes,
     )
-
-
-def runtime_opts(run: RunConfig) -> RuntimeOpts:
-    set_debug_validation(run.runtime.debug_validation)
-    return RuntimeOpts(adapter_skip=run.runtime.adapter_skip, lora_scale=run.runtime.lora_scale)
 
 
 def backbone_param_count(weights: dict[str, Tensor]) -> int:
@@ -112,8 +101,6 @@ def build_frozen_backbone(run: RunConfig, cfg: BackboneConfig) -> tuple[dict, li
         log.info("pseudo-pretraining backbone: %d samples, %d epochs", len(labels), pt.epochs)
         pretrain_log = pseudo_pretrain(weights, pre_cfg, images, labels, hyper, rng)
     else:
-        from .backbone import freeze_backbone
-
         freeze_backbone(weights)
     reinit_head(weights, cfg, cfg.num_classes, rng)
     return weights, pretrain_log
@@ -121,28 +108,27 @@ def build_frozen_backbone(run: RunConfig, cfg: BackboneConfig) -> tuple[dict, li
 
 def train_supernet_stage(
     run: RunConfig, dataset: Dataset
-) -> tuple[Supernet, dict[str, list[dict]]]:
+) -> tuple[PromptedModel, dict[str, list[dict]]]:
     cfg = backbone_config(run, dataset)
     weights, pretrain_log = build_frozen_backbone(run, cfg)
     spec = search_spec(run, weights)
     rng = np.random.default_rng(run.seed)
-    sn = build_supernet(weights, cfg, spec, rng, runtime_opts(run))
+    set_debug_validation(run.runtime.debug_validation)
+    sn = build_supernet(weights, cfg, spec, rng)
     images, labels = dataset.normalized("train")
     log.info(
         "training supernet: budget %d params, %d train samples, %d epochs",
         spec.budget, len(labels), run.supernet_hyper.total_epochs,
     )
-    decay_filter = None
-    if run.runtime.decay_vpt:
-        decay_filter = lambda name, t: t.data.ndim >= 2  # noqa: E731
-    train_log = train_supernet(
-        sn, images, labels, run.supernet_hyper.to_hyper(), rng, decay_filter
+    train_log = train_model(
+        sn, images, labels, run.supernet_hyper.to_hyper(), rng,
+        lambda: S.sample_uniform(spec, rng),
     )
     return sn, {"pretrain": pretrain_log, "train": train_log}
 
 
 def evolve_stage(
-    run: RunConfig, sn: Supernet, dataset: Dataset
+    run: RunConfig, sn: PromptedModel, dataset: Dataset
 ) -> tuple[S.SubnetConfig, SearchTrace]:
     images, labels = dataset.normalized("val")
     rng = np.random.default_rng(run.seed + 1)
@@ -162,19 +148,30 @@ def evolve_stage(
 
 
 def retrain_stage(
-    run: RunConfig, sn: Supernet, config: S.SubnetConfig, dataset: Dataset
-) -> tuple[SubnetModel, list[dict]]:
+    run: RunConfig, sn: PromptedModel, config: S.SubnetConfig, dataset: Dataset
+) -> tuple[PromptedModel, list[dict]]:
     """Fixed-architecture training; warm-starts from inherited weights unless
     the config asks for a from-scratch run."""
     rng = np.random.default_rng(run.seed + 2)
     if run.runtime.retrain_from_scratch:
-        model = fresh_subnet(sn.weights, sn.cfg, config, rng, sn.opts)
+        model = fresh_subnet(sn.weights, sn.cfg, sn.spec, config, rng)
     else:
         model = extract_subnet(sn, config)
+    return model, _train_fixed(run, model, config, dataset, rng)
+
+
+def _train_fixed(
+    run: RunConfig,
+    model: PromptedModel,
+    config: S.SubnetConfig,
+    dataset: Dataset,
+    rng: np.random.Generator,
+) -> list[dict]:
     images, labels = dataset.normalized("train")
-    val = dataset.normalized("val")
-    train_log = train_subnet(model, images, labels, run.subnet_hyper.to_hyper(), rng, val=val)
-    return model, train_log
+    return train_model(
+        model, images, labels, run.subnet_hyper.to_hyper(), rng, lambda: config,
+        val=dataset.normalized("val"),
+    )
 
 
 def matched_budget_single_module(spec: S.SearchSpaceSpec, module: str) -> tuple[int, int]:
@@ -195,7 +192,7 @@ def baseline_stage(
     dim: int | None = None,
     depth: int | None = None,
     backbone_weights: dict | None = None,
-) -> tuple[SubnetModel, list[dict], S.SubnetConfig]:
+) -> tuple[PromptedModel, list[dict], S.SubnetConfig]:
     """Train one fixed prompt module from scratch on the frozen backbone."""
     cfg = backbone_config(run, dataset)
     if backbone_weights is None:
@@ -210,11 +207,9 @@ def baseline_stage(
     if violations:
         raise ConfigError("; ".join(f"{v.code}: {v.message}" for v in violations))
     rng = np.random.default_rng(run.seed + 3)
-    model = fresh_subnet(backbone_weights, cfg, config, rng, runtime_opts(run))
-    images, labels = dataset.normalized("train")
-    val = dataset.normalized("val")
-    train_log = train_subnet(model, images, labels, run.subnet_hyper.to_hyper(), rng, val=val)
-    return model, train_log, config
+    set_debug_validation(run.runtime.debug_validation)
+    model = fresh_subnet(backbone_weights, cfg, spec, config, rng)
+    return model, _train_fixed(run, model, config, dataset, rng), config
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +228,14 @@ def load_model_weights(path) -> dict[str, Tensor]:
     }
 
 
-def supernet_from_checkpoint(path, run: RunConfig, dataset: Dataset) -> Supernet:
+def supernet_from_checkpoint(path, run: RunConfig, dataset: Dataset) -> PromptedModel:
+    """Model from a supernet or an extracted-subnet checkpoint; the prompt
+    tensors keep whatever sizes are stored."""
     weights = load_model_weights(path)
     cfg = backbone_config(run, dataset)
     _check_shapes(weights, cfg)
-    return Supernet(cfg=cfg, spec=search_spec(run, weights), weights=weights,
-                    opts=runtime_opts(run))
+    set_debug_validation(run.runtime.debug_validation)
+    return PromptedModel(cfg=cfg, spec=search_spec(run, weights), weights=weights)
 
 
 def _check_shapes(weights: dict[str, Tensor], cfg: BackboneConfig) -> None:
@@ -260,18 +257,13 @@ def _check_shapes(weights: dict[str, Tensor], cfg: BackboneConfig) -> None:
 def evaluate_checkpoint(
     path, config: S.SubnetConfig, run: RunConfig, dataset: Dataset, split: str
 ) -> float:
-    """Inherited- or retrained-weight evaluation: works on supernet and
-    extracted checkpoints alike, slicing whatever bank sizes are stored."""
-    weights = load_model_weights(path)
-    cfg = backbone_config(run, dataset)
-    _check_shapes(weights, cfg)
-    for t in weights.values():
-        t.requires_grad = False
-    images, labels = dataset.normalized(split)
-    opts = runtime_opts(run)
-    ctx = PromptContext(weights, config, opts.lora_scale)
-    from .backbone import model_forward
+    """Accuracy of ``config`` on ``split`` with the checkpoint's weights.
 
-    return _evaluate_forward(
-        lambda x: model_forward(weights, cfg, x, ctx, opts), images, labels, 256
-    )
+    Works on supernet and extracted or retrained checkpoints alike, slicing
+    whatever prompt-tensor sizes are stored. It runs the same ``evaluate``
+    as the search and the retrain log, so it returns exactly the searched
+    fitness of a supernet checkpoint and the last logged ``val_acc`` of a
+    retrained one."""
+    model = supernet_from_checkpoint(path, run, dataset)
+    images, labels = dataset.normalized(split)
+    return evaluate(model, images, labels, [config])[0]

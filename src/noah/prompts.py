@@ -100,10 +100,6 @@ def bank_regions(config: SubnetConfig) -> dict[str, tuple]:
     return regions
 
 
-def extract_tensor_names(config: SubnetConfig) -> list[str]:
-    return sorted(bank_regions(config).keys())
-
-
 def adapter_bottleneck(
     h: Tensor,
     w_down: Tensor,
@@ -121,14 +117,14 @@ def adapter_bottleneck(
     return T.linear(T.relu(T.linear(h, wd, bd)), wu, b_up)
 
 
-def lora_delta(x: Tensor, w_down: Tensor, w_up: Tensor, r: int, scale: float) -> Tensor:
-    """scale * x @ w_down[:, :r] @ w_up[:r, :]; caller adds it to the frozen
+def lora_delta(x: Tensor, w_down: Tensor, w_up: Tensor, r: int) -> Tensor:
+    """x @ w_down[:, :r] @ w_up[:r, :]; caller adds it to the frozen
     projection output."""
     if not 1 <= r <= w_down.shape[1]:
         raise ValueError(f"lora dim {r} outside [1, {w_down.shape[1]}]")
     wd = T.slice_axis(w_down, 1, 0, r)
     wu = T.slice_axis(w_up, 0, 0, r)
-    return T.scale(T.linear(T.linear(x, wd), wu), scale)
+    return T.linear(T.linear(x, wd), wu)
 
 
 def inject_prompts(x: Tensor, prompt_rows: Tensor | None, current: int) -> tuple[Tensor, int]:
@@ -159,10 +155,9 @@ class PromptContext:
     forward paths numerically indistinguishable.
     """
 
-    def __init__(self, tensors: dict[str, Tensor], config: SubnetConfig, lora_scale: float = 1.0):
+    def __init__(self, tensors: dict[str, Tensor], config: SubnetConfig):
         self.tensors = tensors
         self.config = config
-        self.lora_scale = float(lora_scale)
 
     def adapter_at(self, layer: int):
         r = self.config.active_dim("adapter", layer)
@@ -195,7 +190,3 @@ class PromptContext:
         if m == 0:
             return None
         return T.slice_axis(self.tensors[f"vpt.L{layer}.P"], 0, 0, m)
-
-
-def empty_context(num_layers: int) -> PromptContext:
-    return PromptContext({}, SubnetConfig.empty(num_layers))

@@ -57,7 +57,7 @@ class TestMsa:
         w["backbone.L0.attn.bo"] = Tensor(np.zeros(cfg.embed_dim, np.float32))
         rng = np.random.default_rng(1)
         xn = Tensor(rng.standard_normal((1, 5, cfg.embed_dim)).astype(np.float32))
-        out = B.msa_forward(xn, w, 0, cfg, PromptContext({}, SubnetConfig.empty(2)), B.RuntimeOpts())
+        out = B.msa_forward(xn, w, 0, cfg, PromptContext({}, SubnetConfig.empty(2)))
         v = xn.data[0] @ w["backbone.L0.attn.wv"].data + w["backbone.L0.attn.bv"].data
         expected = np.repeat(v.mean(axis=0, keepdims=True), 5, axis=0)
         np.testing.assert_allclose(out.data[0], expected, atol=1e-5)
@@ -73,8 +73,8 @@ class TestMsa:
             )
         xn = Tensor(rng.standard_normal((1, 1, cfg.embed_dim)).astype(np.float32))
         ctx = PromptContext({}, SubnetConfig.empty(2))
-        out1 = B.msa_forward(xn, w1, 0, cfg, ctx, B.RuntimeOpts())
-        out2 = B.msa_forward(xn, w2, 0, cfg, ctx, B.RuntimeOpts())
+        out1 = B.msa_forward(xn, w1, 0, cfg, ctx)
+        out2 = B.msa_forward(xn, w2, 0, cfg, ctx)
         np.testing.assert_allclose(out1.data, out2.data, atol=1e-6)
 
     def test_three_token_single_head_hand_unrolled(self):
@@ -83,7 +83,7 @@ class TestMsa:
         rng = np.random.default_rng(5)
         xn_np = rng.standard_normal((1, 3, 4)).astype(np.float32)
         out = B.msa_forward(
-            Tensor(xn_np), w, 0, cfg, PromptContext({}, SubnetConfig.empty(2)), B.RuntimeOpts()
+            Tensor(xn_np), w, 0, cfg, PromptContext({}, SubnetConfig.empty(2))
         ).data[0]
 
         # independent scalar unrolling of attention
@@ -147,11 +147,11 @@ class TestForward:
         images = rand_images(cfg, 1, seed=13)
         x, n = B.block_forward(
             B.embed(weights, cfg, images), 0, weights, cfg,
-            PromptContext(weights, config), B.RuntimeOpts(), 0
+            PromptContext(weights, config), 0
         )
         assert x.shape[1] == cfg.num_tokens + 3 and n == 3
         # next layer has no vpt: prompts are dropped again
-        x, n = B.block_forward(x, 1, weights, cfg, PromptContext(weights, config), B.RuntimeOpts(), n)
+        x, n = B.block_forward(x, 1, weights, cfg, PromptContext(weights, config), n)
         assert x.shape[1] == cfg.num_tokens and n == 0
 
     def test_vpt_token_gradient_vs_finite_differences(self):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -153,6 +155,15 @@ class TestOnDiskFormat:
         with pytest.raises(TypeError):
             D.save_dataset(ds, root)
         assert {f.name: f.read_bytes() for f in root.iterdir()} == before
+
+    def test_split_entry_without_count_named(self, tmp_path):
+        root = tmp_path / "ds"
+        D.save_dataset(D.gen_synthetic("pattern-class", 4, 40, seed=4), root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        del manifest["splits"]["val"]["count"]
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(D.DataError, match="split 'val'.*count"):
+            D.load_dataset(root)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(D.DataError, match="manifest"):

@@ -163,6 +163,18 @@ class TestTraceFile:
         assert p.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["trace.jsonl"]
 
+    @pytest.mark.parametrize("bad_line", ["{not json", "[1, 2]"])
+    def test_malformed_line_rejected(self, tmp_path, bad_line):
+        spec = toy_spec()
+        _, trace = E.evolve(toy_batch, spec, small_schedule(generations=1),
+                            np.random.default_rng(7))
+        p = tmp_path / "trace.jsonl"
+        trace.save(p)
+        lines = p.read_text().splitlines()
+        p.write_text("\n".join(lines + [bad_line]) + "\n")
+        with pytest.raises(E.EvolutionError, match=f":{len(lines) + 1}: "):
+            E.SearchTrace.load(p)
+
     def test_lines_are_json(self, tmp_path):
         spec = toy_spec()
         _, trace = E.evolve(toy_batch, spec, small_schedule(generations=1),

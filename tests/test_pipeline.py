@@ -1,12 +1,18 @@
+import copy
+import json
 import math
 
+import numpy as np
 import pytest
 
 from noah import backbone as B
 from noah import pipeline as P
+from noah import space as S
 from noah import tensor as T
-from noah.config import ConfigError, config_from_dict
-from noah.data import gen_synthetic
+from noah.cli import main
+from noah.config import ConfigError, config_from_dict, load_run_config
+from noah.data import gen_synthetic, save_dataset
+from noah.evolution import SearchTrace
 
 TINY = {
     "seed": 3,
@@ -20,15 +26,126 @@ TINY = {
 }
 
 
-def tiny_run():
-    return config_from_dict(TINY), gen_synthetic("pattern-class", 4, 40, seed=3)
+def tiny_run(**sections):
+    doc = copy.deepcopy(TINY)
+    for name, values in sections.items():
+        doc[name] = {**doc.get(name, {}), **values}
+    return config_from_dict(doc), gen_synthetic("pattern-class", 4, 40, seed=3)
 
 
 class TestConfig:
-    def test_evolution_workers_key_rejected(self):
-        doc = {"evolution": {**TINY["evolution"], "workers": 4}}
-        with pytest.raises(ConfigError, match="workers"):
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("evolution", "workers"),
+            ("runtime", "adapter_skip"),
+            ("runtime", "lora_scale"),
+            ("runtime", "decay_vpt"),
+        ],
+    )
+    def test_evolution_workers_key_rejected(self, section, key):
+        """Keys of removed features fail up front, not silently."""
+        doc = {section: {**TINY.get(section, {}), key: 4}}
+        with pytest.raises(ConfigError, match=rf"{section}: unknown keys \['{key}'\]"):
             config_from_dict(doc)
+
+
+class TestStages:
+    def test_baseline_matches_budget(self):
+        run, dataset = tiny_run(search_space={"budget": 100})
+        model, log, config = P.baseline_stage(run, dataset, "lora")
+        # lora at dim 2 or at depth 2 exceeds 100 parameters
+        assert config == S.SubnetConfig.uniform("lora", 1, 1, 2)
+        assert S.spec_count(model.spec, config) <= 100
+        assert set(model.trainable()) == {
+            "lora.L0.q.w_down", "lora.L0.q.w_up", "lora.L0.k.w_down", "lora.L0.k.w_up",
+            "head.w", "head.b",
+        }
+        assert len(log) == run.subnet_hyper.total_epochs
+        assert all(0.0 <= r["val_acc"] <= 1.0 for r in log)
+
+    def test_retrain_from_scratch(self):
+        run, dataset = tiny_run()
+        scratch_run, _ = tiny_run(runtime={"retrain_from_scratch": True})
+        sn, _ = P.train_supernet_stage(run, dataset)
+        before = {n: t.data.copy() for n, t in sn.weights.items()}
+        config, _ = P.evolve_stage(run, sn, dataset)
+        warm, warm_log = P.retrain_stage(run, sn, config, dataset)
+        fresh, fresh_log = P.retrain_stage(scratch_run, sn, config, dataset)
+        assert {n: t.shape for n, t in fresh.weights.items()} == {
+            n: t.shape for n, t in warm.weights.items()
+        }
+        assert fresh_log[0]["train_loss"] != warm_log[0]["train_loss"]
+        assert "val_acc" in fresh_log[-1]
+        for name, data in before.items():  # retraining never writes into the supernet
+            assert np.array_equal(sn.weights[name].data, data), name
+
+    def test_retrained_checkpoint_reproduces_logged_val_acc(self, tmp_path):
+        run, dataset = tiny_run(subnet_hyper={"total_epochs": 2})
+        sn, _ = P.train_supernet_stage(run, dataset)
+        config, _ = P.evolve_stage(run, sn, dataset)
+        model, log = P.retrain_stage(run, sn, config, dataset)
+        path = tmp_path / "subnet.noah"
+        P.save_model_weights(path, model.weights)
+        assert P.evaluate_checkpoint(path, config, run, dataset, "val") == log[-1]["val_acc"]
+
+    def test_supernet_checkpoint_round_trip(self, tmp_path):
+        run, dataset = tiny_run()
+        sn, _ = P.train_supernet_stage(run, dataset)
+        path = tmp_path / "supernet.noah"
+        P.save_model_weights(path, sn.weights)
+        loaded = P.supernet_from_checkpoint(path, run, dataset)
+        assert loaded.cfg == sn.cfg and loaded.spec == sn.spec
+        assert set(loaded.weights) == set(sn.weights)
+        for name, t in sn.weights.items():
+            assert loaded.weights[name].data.tobytes() == t.data.tobytes(), name
+            assert loaded.weights[name].requires_grad == t.requires_grad, name
+        images, _ = dataset.normalized("val")
+        config = S.sample_uniform(sn.spec, np.random.default_rng(0))
+        assert (loaded.forward(images, config).data.tobytes()
+                == sn.forward(images, config).data.tobytes())
+
+
+class TestCli:
+    def test_run_writes_every_output(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(TINY))
+        save_dataset(gen_synthetic("pattern-class", 4, 40, seed=3), tmp_path / "data")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--data", str(tmp_path / "data"),
+                     "--out", str(out)]) == 0
+
+        resolved = load_run_config(out / "config.json")
+        assert resolved.seed == TINY["seed"]
+        assert resolved.dataset.path == str(tmp_path / "data")
+        trace = SearchTrace.load(out / "search_trace.jsonl")
+        best = S.SubnetConfig.decode(trace.generations[-1]["best_so_far"]["config"])
+        dataset = gen_synthetic("pattern-class", 4, 40, seed=3)
+        fitness = trace.generations[-1]["best_so_far"]["fitness"]
+        assert P.evaluate_checkpoint(out / "supernet.noah", best, resolved, dataset,
+                                     "val") == fitness
+        subnet = P.supernet_from_checkpoint(out / "subnet.noah", resolved, dataset)
+        assert S.spec_count(subnet.spec, best) == sum(
+            t.size for n, t in subnet.trainable().items() if not n.startswith("head.")
+        )
+        report = (out / "report.txt").read_text()
+        assert report and report in capsys.readouterr().out
+
+    @pytest.mark.parametrize("data", [None, "train-only"])
+    def test_unusable_dataset_is_a_usage_error(self, tmp_path, data):
+        """Rejected before any training: no dataset given, or no val split."""
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(TINY))
+        argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "out")]
+        if data is not None:
+            dataset = gen_synthetic("pattern-class", 4, 40, seed=3)
+            del dataset.splits["val"]
+            save_dataset(dataset, tmp_path / data)
+            argv += ["--data", str(tmp_path / data)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestSearch:

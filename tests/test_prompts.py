@@ -83,15 +83,7 @@ class TestLoraDelta:
     def test_zero_at_initialization(self):
         banks = make_banks(seed=4)
         x = Tensor(np.random.default_rng(5).standard_normal((1, 3, 8)).astype(np.float32))
-        out = P.lora_delta(x, banks["lora.L0.q.w_down"], banks["lora.L0.q.w_up"], r=3, scale=1.0)
-        assert np.array_equal(out.data, np.zeros_like(out.data))
-
-    def test_scale_zero(self):
-        rng = np.random.default_rng(6)
-        wd = Tensor(rng.standard_normal((8, 4)).astype(np.float32))
-        wu = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
-        x = Tensor(rng.standard_normal((1, 3, 8)).astype(np.float32))
-        out = P.lora_delta(x, wd, wu, r=4, scale=0.0)
+        out = P.lora_delta(x, banks["lora.L0.q.w_down"], banks["lora.L0.q.w_up"], r=3)
         assert np.array_equal(out.data, np.zeros_like(out.data))
 
     @pytest.mark.parametrize("r", [1, 2, 3])
@@ -101,7 +93,7 @@ class TestLoraDelta:
         wd = Tensor(rng.standard_normal((d, 8)).astype(np.float32))
         wu = Tensor(rng.standard_normal((8, d)).astype(np.float32))
         x = Tensor(rng.standard_normal((1, 12, d)).astype(np.float32))
-        delta = P.lora_delta(x, wd, wu, r=r, scale=1.0).data[0]
+        delta = P.lora_delta(x, wd, wu, r=r).data[0]
         sv = np.linalg.svd(delta.astype(np.float64), compute_uv=False)
         rank = int((sv > sv[0] * 1e-6).sum())
         assert rank <= r
@@ -167,7 +159,7 @@ class TestEntanglement:
             wd, bd, wu, bu, r = ctx.adapter_at(0)
             parts.append(P.adapter_bottleneck(h, wd, bd, wu, bu, r).data.tobytes())
             qd, qu, kd, ku, r = ctx.lora_at(0)
-            parts.append(P.lora_delta(x, qd, qu, r, 1.0).data.tobytes())
+            parts.append(P.lora_delta(x, qd, qu, r).data.tobytes())
             parts.append(ctx.vpt_at(0).data.tobytes())
             return parts
 

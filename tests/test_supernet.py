@@ -50,6 +50,11 @@ def randomized_setup(seed):
     return cfg, spec, sn, rng
 
 
+def train_uniform(sn, images, labels, hyper, rng):
+    """Supernet training: one uniformly sampled subnet per step."""
+    return SN.train_model(sn, images, labels, hyper, rng, lambda: sample_uniform(sn.spec, rng))
+
+
 def all_weights_snapshot(sn):
     return {n: t.data.copy() for n, t in sn.weights.items()}
 
@@ -59,7 +64,7 @@ class TestTraining:
         cfg, spec, sn = tiny_setup()
         images, labels = rand_data(cfg, 16)
         before = all_weights_snapshot(sn)
-        log = SN.train_supernet(sn, images, labels, hyper(0, warmup_epochs=0), np.random.default_rng(2))
+        log = train_uniform(sn, images, labels, hyper(0, warmup_epochs=0), np.random.default_rng(2))
         assert log == []
         for name, arr in before.items():
             assert np.array_equal(sn.weights[name].data, arr), name
@@ -68,13 +73,13 @@ class TestTraining:
         cfg, spec, sn = tiny_setup()
         images, labels = rand_data(cfg, 24)
         h0 = backbone_hash(sn.weights)
-        SN.train_supernet(sn, images, labels, hyper(5), np.random.default_rng(3))
+        train_uniform(sn, images, labels, hyper(5), np.random.default_rng(3))
         assert backbone_hash(sn.weights) == h0
 
     def test_log_carries_sampled_config_stream(self):
         cfg, spec, sn = tiny_setup()
         images, labels = rand_data(cfg, 16)
-        log = SN.train_supernet(sn, images, labels, hyper(2), np.random.default_rng(4))
+        log = train_uniform(sn, images, labels, hyper(2), np.random.default_rng(4))
         assert len(log) == 2
         for record in log:
             assert len(record["configs"]) == 2  # 16 samples / batch 8
@@ -115,7 +120,7 @@ class TestTraining:
         labels = (np.arange(n) % 2).astype(np.int64)
         images = rng.uniform(-0.2, 0.2, (n,) + cfg.image_shape).astype(np.float32)
         images[labels == 1] += 0.8  # brightness-separable classes
-        log = SN.train_supernet(sn, images, labels, hyper(15, base_lr=3e-3), np.random.default_rng(7))
+        log = train_uniform(sn, images, labels, hyper(15, base_lr=3e-3), np.random.default_rng(7))
         assert log[-1]["train_loss"] < 0.5 * log[0]["train_loss"]
 
 
@@ -239,7 +244,7 @@ class TestExtraction:
             images, _ = rand_data(cfg, 3, seed=int(rng.integers(2**31)))
             model = SN.extract_subnet(sn, config)
             a = sn.forward(images, config).data
-            b = model.forward(images).data
+            b = model.forward(images, config).data
             assert a.tobytes() == b.tobytes()
 
     def test_trainable_count_matches_param_count(self):
@@ -284,8 +289,8 @@ class TestExtraction:
         )
         model = SN.extract_subnet(sn, config)
         h0 = backbone_hash(model.weights)
-        log = SN.train_subnet(model, images, labels, hyper(10, base_lr=3e-3),
-                              np.random.default_rng(24), val=(images, labels))
+        log = SN.train_model(model, images, labels, hyper(10, base_lr=3e-3),
+                             np.random.default_rng(24), lambda: config, val=(images, labels))
         assert backbone_hash(model.weights) == h0
         assert "val_acc" in log[-1]
         assert log[-1]["train_loss"] < log[0]["train_loss"]
@@ -293,12 +298,13 @@ class TestExtraction:
     def test_fresh_subnet_trains_from_scratch(self):
         cfg, spec, sn = tiny_setup(num_classes=2, seed=25)
         config = SubnetConfig.uniform("adapter", 2, 2, 2)
-        model = SN.fresh_subnet(sn.weights, cfg, config, np.random.default_rng(26))
+        model = SN.fresh_subnet(sn.weights, cfg, spec, config, np.random.default_rng(26))
         assert set(model.trainable()) == {
             "adapter.L0.w_down", "adapter.L0.b_down", "adapter.L0.w_up", "adapter.L0.b_up",
             "adapter.L1.w_down", "adapter.L1.b_down", "adapter.L1.w_up", "adapter.L1.b_up",
             "head.w", "head.b",
         }
         images, labels = rand_data(cfg, 8, seed=27)
-        log = SN.train_subnet(model, images, labels, hyper(2), np.random.default_rng(28))
+        log = SN.train_model(model, images, labels, hyper(2), np.random.default_rng(28),
+                             lambda: config)
         assert len(log) == 2
