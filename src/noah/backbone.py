@@ -153,27 +153,19 @@ def msa_forward(
     prompts: PromptContext,
 ) -> Tensor:
     """softmax(q kT / sqrt(head_dim)) v per head, heads merged, projected.
-    LoRA deltas land on q and k before the attention product."""
+    One projection onto the concatenated q/k/v weights; LoRA deltas land on
+    the q and k columns before the attention product."""
     p = f"backbone.L{layer}.attn."
-    q = T.linear(xn, weights[p + "wq"], weights[p + "bq"])
-    k = T.linear(xn, weights[p + "wk"], weights[p + "bk"])
-    v = T.linear(xn, weights[p + "wv"], weights[p + "bv"])
+    w = T.concat([weights[p + "wq"], weights[p + "wk"], weights[p + "wv"]], axis=1)
+    b = T.concat([weights[p + "bq"], weights[p + "bk"], weights[p + "bv"]], axis=0)
+    qkv = T.linear(xn, w, b)
+    dq = dk = None
     lora = prompts.lora_at(layer)
     if lora is not None:
         q_down, q_up, k_down, k_up, r = lora
-        q = T.add(q, lora_delta(xn, q_down, q_up, r))
-        k = T.add(k, lora_delta(xn, k_down, k_up, r))
-
-    b, n, d = q.shape
-    heads, hd = cfg.num_heads, cfg.head_dim
-
-    def split(t):
-        return T.transpose(T.reshape(t, (b, n, heads, hd)), (0, 2, 1, 3))
-
-    qh, kh, vh = split(q), split(k), split(v)
-    scores = T.scale(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-    attn = T.softmax(scores, axis=-1)
-    out = T.reshape(T.transpose(T.matmul(attn, vh), (0, 2, 1, 3)), (b, n, d))
+        dq = lora_delta(xn, q_down, q_up, r)
+        dk = lora_delta(xn, k_down, k_up, r)
+    out = T.attention(qkv, cfg.num_heads, dq, dk)
     return T.linear(out, weights[p + "wo"], weights[p + "bo"])
 
 

@@ -272,6 +272,13 @@ def save_dataset(ds: Dataset, root) -> None:
             f.write(blob)
 
 
+def _read_split_file(root: Path, split: str, name: str) -> bytes:
+    try:
+        return (root / name).read_bytes()
+    except OSError as exc:
+        raise DataError(f"split {split!r}: cannot read {name}: {exc.strerror}") from exc
+
+
 def load_dataset(root) -> Dataset:
     root = Path(root)
     path = root / "manifest.json"
@@ -294,12 +301,12 @@ def load_dataset(root) -> Dataset:
             images_file, labels_file = entry["images_file"], entry["labels_file"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed manifest {path}: split {split!r}: {exc!r}") from exc
-        raw = (root / images_file).read_bytes()
+        raw = _read_split_file(root, split, images_file)
         expected = count * c * h * w
         if len(raw) != expected:
             raise DataError(f"{images_file}: {len(raw)} bytes, manifest implies {expected}")
         images = np.frombuffer(raw, np.uint8).reshape(count, c, h, w)
-        raw = (root / labels_file).read_bytes()
+        raw = _read_split_file(root, split, labels_file)
         if len(raw) != count * 2:
             raise DataError(f"{labels_file}: {len(raw)} bytes, manifest implies {count * 2}")
         labels = np.frombuffer(raw, "<u2").astype(np.uint16)

@@ -5,6 +5,15 @@ gradient-check tests). Operations record a backward closure on their output;
 ``backward`` replays the recorded graph in reverse execution order exactly
 once. Tensors are immutable after creation except for gradient accumulation
 into ``.grad``.
+
+The hot ops are fused, one tape node each: ``linear`` (one GEMM plus bias
+over all leading axes) and ``attention`` (head split, scaled q kT, softmax,
+.v and head merge over packed [q|k|v] rows, with a hand-derived backward);
+``gelu`` and ``layer_norm`` work in place on their own temporaries. The
+in-place rule: an op may write only into arrays it allocated itself. It never
+writes into an input's ``.data``, nor into the incoming gradient ``g`` of its
+backward closure, because ``add`` hands the same array to both parents and
+``reshape`` passes on a view of it.
 """
 
 from __future__ import annotations
@@ -104,15 +113,13 @@ class Tensor:
         return sub(self, other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
         return mul(self, other)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __neg__(self):
-        return scale(self, -1.0)
+        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -188,16 +195,6 @@ def mul(a: Tensor, b) -> Tensor:
     return _make(out, (a, b), backward_fn)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-    out = a.data * s
-
-    def backward_fn(g):
-        return (g * s if a.requires_grad else None,)
-
-    return _make(out, (a,), backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # shape manipulation
 
@@ -208,19 +205,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def backward_fn(g):
         return (g.reshape(a.shape) if a.requires_grad else None,)
-
-    return _make(out, (a,), backward_fn)
-
-
-def transpose(a: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(a.data.ndim)))
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    out = np.transpose(a.data, axes)
-
-    def backward_fn(g):
-        return (np.transpose(g, inv) if a.requires_grad else None,)
 
     return _make(out, (a,), backward_fn)
 
@@ -286,7 +270,10 @@ def expand(a: Tensor, shape) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; leading axes broadcast, gradients flow to both sides."""
+    """Matrix product; leading axes broadcast, gradients flow to both sides.
+
+    The model calls ``linear`` and ``attention`` instead; ``matmul`` and
+    ``softmax`` stay because ``bench/tracing.py`` wraps them by name."""
     if a.data.ndim == 0 or b.data.ndim == 0:
         raise GradientError("matmul requires at least 1-d operands")
     if a.shape[-1] != b.shape[-2 if b.data.ndim > 1 else 0]:
@@ -307,15 +294,79 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b) with leading axes flattened into one BLAS call."""
-    lead = x.shape[:-1]
-    flat = reshape(x, (-1, x.shape[-1])) if len(lead) != 1 else x
-    out = matmul(flat, w)
+    """x @ w (+ b): one GEMM over the rows of all leading axes, one tape node."""
+    if w.data.ndim != 2 or x.data.ndim == 0 or x.shape[-1] != w.shape[0]:
+        raise GradientError(f"linear shape mismatch: {x.shape} @ {w.shape}")
+    rows = x.data.reshape(-1, x.shape[-1])
+    out = rows @ w.data
     if b is not None:
-        out = add(out, b)
-    if len(lead) != 1:
-        out = reshape(out, lead + (w.shape[-1],))
-    return out
+        out += b.data
+    parents = (x, w) if b is None else (x, w, b)
+
+    def backward_fn(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        grads = (
+            (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None,
+            rows.T @ g2 if w.requires_grad else None,
+        )
+        if b is not None:
+            grads += (g2.sum(axis=0) if b.requires_grad else None,)
+        return grads
+
+    return _make(out.reshape(x.shape[:-1] + (w.shape[1],)), parents, backward_fn)
+
+
+def attention(
+    qkv: Tensor, heads: int, q_delta: Tensor | None = None, k_delta: Tensor | None = None
+) -> Tensor:
+    """Multi-head softmax(q kT / sqrt(head_dim)) v over packed [q|k|v] rows.
+
+    ``qkv`` is [B, N, 3D]; the optional [B, N, D] deltas are added to its q
+    and k columns. Heads are split, attended and merged inside one tape node
+    whose backward is derived by hand. Returns [B, N, D].
+    """
+    if qkv.data.ndim != 3 or qkv.shape[2] % (3 * heads):
+        raise GradientError(f"attention: packed qkv {qkv.shape} does not split into {heads} heads")
+    b, n, d3 = qkv.shape
+    d = d3 // 3
+    hd = d // heads
+    scale = 1.0 / np.sqrt(hd)
+    # [3, B, H, N, hd] view of the packed rows, no copy
+    qh, kh, vh = qkv.data.reshape(b, n, 3, heads, hd).transpose(2, 0, 3, 1, 4)
+    if q_delta is not None:
+        qh = qh + q_delta.data.reshape(b, n, heads, hd).transpose(0, 2, 1, 3)
+    if k_delta is not None:
+        kh = kh + k_delta.data.reshape(b, n, heads, hd).transpose(0, 2, 1, 3)
+    p = qh @ kh.swapaxes(-1, -2)
+    p *= scale
+    # row max over a transposed copy and row sums by einsum: numpy's
+    # reductions along a short last axis cost several times the exp they guard
+    p -= np.moveaxis(p, -1, 0).copy().max(axis=0)[..., None]
+    np.exp(p, out=p)
+    p /= np.einsum("...j->...", p)[..., None]
+    out = (p @ vh).transpose(0, 2, 1, 3).reshape(b, n, d)
+    parents = tuple(t for t in (qkv, q_delta, k_delta) if t is not None)
+
+    def backward_fn(g):
+        gh = g.reshape(b, n, heads, hd).transpose(0, 2, 1, 3)
+        gqkv = np.empty((b, n, 3, heads, hd), qkv.data.dtype)
+        gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
+        gv[...] = p.swapaxes(-1, -2) @ gh
+        gs = gh @ vh.swapaxes(-1, -2)
+        gs -= np.einsum("...j,...j->...", gs, p)[..., None]
+        gs *= p
+        gs *= scale
+        gq[...] = gs @ kh
+        gk[...] = gs.swapaxes(-1, -2) @ qh
+        gqkv = gqkv.reshape(b, n, d3)
+        grads = [gqkv if qkv.requires_grad else None]
+        if q_delta is not None:
+            grads.append(gqkv[..., :d] if q_delta.requires_grad else None)
+        if k_delta is not None:
+            grads.append(gqkv[..., d:2 * d] if k_delta.requires_grad else None)
+        return tuple(grads)
+
+    return _make(out, parents, backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +390,32 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x * x * x)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    t = x * 0.044715
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = x * 0.5
+    out *= t + 1.0
 
     def backward_fn(g):
         if not a.requires_grad:
             return (None,)
-        dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        return (g * d,)
+        # d/dx = 0.5*(x*(1 - t^2)*c*(1 + 3*0.044715*x^2) + t + 1)
+        d = x * x
+        d *= 3.0 * 0.044715
+        d += 1.0
+        d *= _GELU_C
+        u = t * t
+        np.subtract(1.0, u, out=u)
+        u *= x
+        d *= u
+        d += t
+        d += 1.0
+        d *= 0.5
+        d *= g
+        return (d,)
 
     return _make(out, (a,), backward_fn)
 
@@ -377,24 +444,34 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         raise GradientError(
             f"layer_norm affine shape mismatch: x {x.shape}, gamma {gamma.shape}, beta {beta.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = gamma.data * xhat + beta.data
+    mu = np.einsum("...j->...", x.data)[..., None]
+    mu /= d
+    xhat = x.data - mu
+    inv = np.einsum("...j,...j->...", xhat, xhat)[..., None]
+    inv /= d
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
 
     def backward_fn(g):
         gx = gg = gb = None
+        g2 = g.reshape(-1, d)
         if gamma.requires_grad:
-            gg = (g * xhat).reshape(-1, d).sum(axis=0)
+            gg = np.einsum("ij,ij->j", g2, xhat.reshape(-1, d))
         if beta.requires_grad:
-            gb = g.reshape(-1, d).sum(axis=0)
+            gb = g2.sum(axis=0)
         if x.requires_grad:
-            dxhat = g * gamma.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            gx = inv * (dxhat - m1 - xhat * m2)
+            gx = g * gamma.data
+            m2 = np.einsum("...j,...j->...", gx, xhat)[..., None]
+            m2 /= d
+            m1 = np.einsum("...j->...", gx)[..., None]
+            m1 /= d
+            gx -= m1
+            gx -= xhat * m2
+            gx *= inv
         return (gx, gg, gb)
 
     return _make(out, (x, gamma, beta), backward_fn)

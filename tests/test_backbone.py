@@ -179,6 +179,59 @@ class TestForward:
         assert err < 1e-3
 
 
+class TestModelGradients:
+    """Finite differences through ``model_forward`` in float64, per weight group."""
+
+    def build(self, config, frozen=True, seed=16):
+        cfg = tiny_cfg()
+        rng = np.random.default_rng(seed)
+        w = cast64(B.init_backbone(cfg, rng))
+        if frozen:
+            B.freeze_backbone(w)
+        banks = init_prompt_banks(cfg.num_layers, cfg.embed_dim, {"adapter": 4, "lora": 4, "vpt": 4}, rng)
+        for t in banks.values():  # nonzero up-projections, so down-projections get gradients
+            t.data = rng.uniform(-0.5, 0.5, t.shape)
+        weights = {**w, **cast64(banks)}
+        images = rand_images(cfg, 2, seed=seed + 1, dtype=np.float64)
+        labels = np.array([0, 2])
+
+        def loss_fn():
+            logits = B.model_forward(weights, cfg, images, PromptContext(weights, config))
+            return T.cross_entropy(logits, labels)
+
+        return weights, loss_fn
+
+    def check(self, weights, loss_fn, names):
+        for n in names:
+            weights[n].zero_grad()
+        T.backward(loss_fn())
+        for n in names:
+            assert weights[n].grad is not None, n
+            err = max_rel_err(weights[n].grad, numeric_grad(loss_fn, weights[n]))
+            assert err < 1e-4, f"{n}: max relative error {err:.2e}"
+
+    def test_unfrozen_attention_projections(self):
+        # the pseudo-pretraining path: gradients reach wq/wk/wv through the fused projection
+        weights, loss_fn = self.build(SubnetConfig.empty(2), frozen=False)
+        self.check(weights, loss_fn, [f"backbone.L0.attn.{n}" for n in ("wq", "wk", "wv", "bq")])
+
+    def test_lora_banks(self):
+        config = SubnetConfig(
+            adapter=ModuleGene(0, (0, 0)), lora=ModuleGene(2, (3, 2)), vpt=ModuleGene(0, (0, 0))
+        )
+        weights, loss_fn = self.build(config)
+        names = [f"lora.L{i}.{p}.{n}" for i in (0, 1) for p in ("q", "k") for n in ("w_down", "w_up")]
+        self.check(weights, loss_fn, names)
+
+    def test_adapter_banks(self):
+        config = SubnetConfig(
+            adapter=ModuleGene(1, (3, 0)), lora=ModuleGene(1, (2, 0)), vpt=ModuleGene(1, (2, 0))
+        )
+        weights, loss_fn = self.build(config)
+        names = [f"adapter.L0.{n}" for n in ("w_down", "b_down", "w_up", "b_up")]
+        self.check(weights, loss_fn, names)
+
+
 class TestFrozenContract:
     def test_init_deterministic(self):
         w1 = B.init_backbone(CFG, np.random.default_rng(42))

@@ -165,6 +165,13 @@ class TestOnDiskFormat:
         with pytest.raises(D.DataError, match="split 'val'.*count"):
             D.load_dataset(root)
 
+    def test_missing_split_file_named(self, tmp_path):
+        root = tmp_path / "ds"
+        D.save_dataset(D.gen_synthetic("pattern-class", 4, 40, seed=4), root)
+        (root / "val_images.bin").unlink()
+        with pytest.raises(D.DataError, match="split 'val'.*val_images.bin"):
+            D.load_dataset(root)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(D.DataError, match="manifest"):
             D.load_dataset(tmp_path / "nope")

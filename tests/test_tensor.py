@@ -76,6 +76,162 @@ class TestSoftmax:
         check_grads(lambda: T.sum_all(T.mul(T.softmax(x), w)), [x])
 
 
+class TestLinear:
+    def test_one_node_gradients_on_3d_input(self):
+        rng = np.random.default_rng(20)
+        x = t64(rng.uniform(-2, 2, (2, 3, 4)), requires_grad=True)
+        w = t64(rng.uniform(-2, 2, (4, 5)), requires_grad=True)
+        b = t64(rng.uniform(-2, 2, 5), requires_grad=True)
+        mix = t64(rng.uniform(-1, 1, (2, 3, 5)))
+        out = T.linear(x, w, b)
+        assert out.shape == (2, 3, 5) and out._parents == (x, w, b)
+        check_grads(lambda: T.sum_all(T.mul(T.linear(x, w, b), mix)), [x, w, b])
+
+    def test_frozen_weight_gets_no_grad(self):
+        rng = np.random.default_rng(21)
+        x = t64(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
+        w = t64(rng.uniform(-2, 2, (4, 2)))
+        T.backward(T.sum_all(T.linear(x, w)))
+        assert w.grad is None
+        np.testing.assert_allclose(x.grad, np.tile(w.data.sum(axis=1), (3, 1)))
+
+    def test_shape_mismatch_names_both_shapes(self):
+        with pytest.raises(T.GradientError, match=r"\(2, 3, 4\).*\(5, 2\)"):
+            T.linear(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((5, 2))))
+
+
+def split_heads(a, heads):
+    b, n, d = a.shape
+    return a.reshape(b, n, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def reference_attention(qkv, heads, dq=0.0, dk=0.0):
+    """Float64 attention from plain numpy, one head at a time."""
+    d = qkv.shape[-1] // 3
+    q, k, v = (
+        split_heads(a, heads) for a in (qkv[..., :d] + dq, qkv[..., d:2 * d] + dk, qkv[..., 2 * d:])
+    )
+    out = np.zeros_like(q)
+    for bi in range(q.shape[0]):
+        for h in range(heads):
+            s = q[bi, h] @ k[bi, h].T / math.sqrt(q.shape[-1])
+            e = np.exp(s - s.max(axis=1, keepdims=True))
+            out[bi, h] = (e / e.sum(axis=1, keepdims=True)) @ v[bi, h]
+    return out.transpose(0, 2, 1, 3).reshape(qkv.shape[0], qkv.shape[1], d)
+
+
+class TestAttention:
+    # 2 heads of width 4 over 5 tokens: tokens != head_dim
+    B, N, HEADS, D = 2, 5, 2, 8
+
+    def packed(self, seed, scale=1.0):
+        rng = np.random.default_rng(seed)
+        return t64(rng.uniform(-scale, scale, (self.B, self.N, 3 * self.D)), requires_grad=True)
+
+    def test_matches_per_head_reference(self):
+        qkv = self.packed(30)
+        out = T.attention(qkv, self.HEADS)
+        assert out.shape == (self.B, self.N, self.D) and out._parents == (qkv,)
+        np.testing.assert_allclose(out.data, reference_attention(qkv.data, self.HEADS), atol=1e-12)
+
+    @pytest.mark.parametrize("lora", [False, True], ids=["plain", "qk_delta"])
+    def test_gradients(self, lora):
+        rng = np.random.default_rng(31)
+        qkv = self.packed(32, scale=2.0)
+        mix = t64(rng.uniform(-1, 1, (self.B, self.N, self.D)))
+        params = [qkv]
+        dq = dk = None
+        if lora:
+            dq = t64(rng.uniform(-1, 1, (self.B, self.N, self.D)), requires_grad=True)
+            dk = t64(rng.uniform(-1, 1, (self.B, self.N, self.D)), requires_grad=True)
+            params += [dq, dk]
+            out = T.attention(qkv, self.HEADS, dq, dk)
+            np.testing.assert_allclose(
+                out.data, reference_attention(qkv.data, self.HEADS, dq.data, dk.data), atol=1e-12
+            )
+        check_grads(lambda: T.sum_all(T.mul(T.attention(qkv, self.HEADS, dq, dk), mix)), params)
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_shift_invariant(self, seed):
+        # adding u to every key adds q_i.u to the whole score row i
+        rng = np.random.default_rng(seed)
+        qkv = rng.uniform(-3, 3, (self.B, self.N, 3 * self.D)).astype(np.float32)
+        shifted = qkv.copy()
+        shifted[..., self.D:2 * self.D] += rng.uniform(-3, 3, self.D).astype(np.float32)
+        out = T.attention(T.Tensor(qkv), self.HEADS).data
+        np.testing.assert_allclose(out, T.attention(T.Tensor(shifted), self.HEADS).data, atol=1e-4)
+
+    def test_stable_with_large_logits(self):
+        # equal keys with scores ~1e6: exp overflows unless each row is shifted by its max
+        qkv = np.zeros((1, 3, 3 * self.D), np.float32)
+        qkv[..., : 2 * self.D] = 700.0
+        qkv[0, :, 2 * self.D:] = np.arange(3 * self.D, dtype=np.float32).reshape(3, self.D)
+        out = T.attention(T.Tensor(qkv), self.HEADS).data
+        assert np.all(np.isfinite(out))
+        v_mean = qkv[0, :, 2 * self.D:].mean(axis=0)
+        np.testing.assert_allclose(out[0], np.tile(v_mean, (3, 1)), rtol=1e-6)
+
+    def test_uniform_weights_at_zero_qk(self):
+        qkv = self.packed(33).data
+        qkv[..., : 2 * self.D] = 0.0
+        out = T.attention(t64(qkv), self.HEADS).data
+        v = qkv[..., 2 * self.D:]
+        expected = np.broadcast_to(v.mean(axis=1, keepdims=True), out.shape)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    def test_bad_head_split_rejected(self):
+        with pytest.raises(T.GradientError, match="3 heads"):
+            T.attention(self.packed(34), 3)
+
+
+def _fused_cases():
+    """(name, inputs, forward) for each op that fuses or writes in place."""
+    rng = np.random.default_rng(40)
+
+    def t(*shape, grad=True):
+        return t64(rng.uniform(-2, 2, shape), requires_grad=grad)
+
+    x3, qkv = t(2, 3, 4), t(2, 5, 24)
+    return [
+        ("linear", (x3, t(4, 6), t(6)), lambda x, w, b: T.linear(x, w, b)),
+        ("attention", (qkv, t(2, 5, 8), t(2, 5, 8)), lambda a, dq, dk: T.attention(a, 2, dq, dk)),
+        ("gelu", (t(3, 7),), T.gelu),
+        ("layer_norm", (t(2, 3, 6), t(6), t(6)), T.layer_norm),
+    ]
+
+
+class TestInPlaceSafety:
+    """Fused ops write in place only into arrays they allocated."""
+
+    @pytest.mark.parametrize("case", _fused_cases(), ids=lambda c: c[0])
+    def test_inputs_and_incoming_grad_untouched(self, case):
+        _, inputs, forward = case
+        before = [a.data.copy() for a in inputs]
+        out = forward(*inputs)
+        g = np.random.default_rng(41).uniform(-1, 1, out.shape)
+        g_before = g.copy()
+        grads = out._backward(g)
+        assert all(np.array_equal(a.data, b) for a, b in zip(inputs, before))
+        assert np.array_equal(g, g_before)
+        assert all(not np.shares_memory(pg, g) for pg in grads if pg is not None)
+
+    @pytest.mark.parametrize("case", _fused_cases(), ids=lambda c: c[0])
+    def test_gradient_shared_by_residual_add(self, case):
+        # add hands the same array to both branches; the skip branch is
+        # recorded first, so its backward reads that array after the op's
+        _, inputs, forward = case
+        out = forward(*inputs)
+        skip = t64(np.random.default_rng(42).uniform(-1, 1, out.shape), requires_grad=True)
+        mix = t64(np.random.default_rng(43).uniform(-1, 1, out.shape))
+
+        def loss_fn():
+            branch = T.mul(skip, 2.0)
+            return T.sum_all(T.mul(T.add(forward(*inputs), branch), mix))
+
+        check_grads(loss_fn, [skip, *inputs])
+
+
 class TestLayerNorm:
     def test_constant_row_is_zeroed(self):
         x = T.Tensor([[5.0, 5.0, 5.0, 5.0]])
@@ -223,12 +379,6 @@ class TestShapeOps:
             return T.add(T.sum_all(T.mul(s, s)), T.mean_all(e))
 
         check_grads(loss_fn, [a, b])
-
-    def test_transpose_gradients(self):
-        rng = np.random.default_rng(9)
-        x = t64(rng.uniform(-2, 2, (2, 3, 4)), requires_grad=True)
-        w = t64(rng.uniform(-2, 2, (2, 4, 3)))
-        check_grads(lambda: T.sum_all(T.mul(T.transpose(x, (0, 2, 1)), w)), [x])
 
     def test_linear_matches_manual(self):
         rng = np.random.default_rng(10)
