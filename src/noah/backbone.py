@@ -5,6 +5,14 @@ method itself does not constrain these). Per block, prompt modules attach at
 fixed points: VPT tokens at the block input, LoRA as additive deltas on the
 query/key projections, and the adapter bottleneck on the MLP output inside
 the residual branch.
+
+The final block computes only what the readout reads. The classifier sees
+the class token alone, and no later block attends to the other rows, so the
+final block takes keys and values from every row (after injecting its VPT
+tokens) but queries with the class row only: the LoRA q-delta, attention,
+output projection, residual, ln2, MLP and adapter run on that one row. Its
+output is [B, 1, D]. Every block before it keeps all rows, because the next
+block's keys and values need them.
 """
 
 from __future__ import annotations
@@ -154,8 +162,10 @@ def msa_forward(
 ) -> Tensor:
     """softmax(q kT / sqrt(head_dim)) v per head, heads merged, projected.
     One projection onto the concatenated q/k/v weights; LoRA deltas land on
-    the q and k columns before the attention product."""
+    the q and k columns before the attention product. At the final layer
+    only the class row queries: the output is [B, 1, D]."""
     p = f"backbone.L{layer}.attn."
+    queries = 1 if layer == cfg.num_layers - 1 else None
     w = T.concat([weights[p + "wq"], weights[p + "wk"], weights[p + "wv"]], axis=1)
     b = T.concat([weights[p + "bq"], weights[p + "bk"], weights[p + "bv"]], axis=0)
     qkv = T.linear(xn, w, b)
@@ -163,9 +173,10 @@ def msa_forward(
     lora = prompts.lora_at(layer)
     if lora is not None:
         q_down, q_up, k_down, k_up, r = lora
-        dq = lora_delta(xn, q_down, q_up, r)
+        xq = xn if queries is None else T.slice_axis(xn, 1, 0, queries)
+        dq = lora_delta(xq, q_down, q_up, r)
         dk = lora_delta(xn, k_down, k_up, r)
-    out = T.attention(qkv, cfg.num_heads, dq, dk)
+    out = T.attention(qkv, cfg.num_heads, dq, dk, queries)
     return T.linear(out, weights[p + "wo"], weights[p + "bo"])
 
 
@@ -178,14 +189,21 @@ def block_forward(
     n_prompts: int,
 ) -> tuple[Tensor, int]:
     """One transformer block: prompt-token injection, attention with LoRA,
-    then MLP with the adapter on its output inside the residual branch."""
+    then MLP with the adapter on its output inside the residual branch.
+    Returns the hidden states and the number of prompt rows they hold. The
+    final block (``layer == cfg.num_layers - 1``) returns the class row only,
+    ``([B, 1, D], 0)``: keys and values still see every row, but nothing
+    downstream reads the other rows' outputs."""
     if not 0 <= layer < cfg.num_layers:
         raise ModelError(f"layer {layer} outside [0, {cfg.num_layers})")
     x, n_prompts = inject_prompts(x, prompts.vpt_at(layer), n_prompts)
 
     p = f"backbone.L{layer}."
     xn = T.layer_norm(x, weights[p + "ln1.gamma"], weights[p + "ln1.beta"])
-    x = T.add(x, msa_forward(xn, weights, layer, cfg, prompts))
+    attn = msa_forward(xn, weights, layer, cfg, prompts)
+    if layer == cfg.num_layers - 1:
+        x, n_prompts = T.slice_axis(x, 1, 0, 1), 0
+    x = T.add(x, attn)
 
     un = T.layer_norm(x, weights[p + "ln2.gamma"], weights[p + "ln2.beta"])
     mlp_out = T.linear(
@@ -219,15 +237,12 @@ def embed(weights: dict[str, Tensor], cfg: BackboneConfig, images: np.ndarray) -
     return T.add(x, weights["backbone.pos_embed"])
 
 
-def readout(
-    weights: dict[str, Tensor], cfg: BackboneConfig, x: Tensor, return_features: bool = False
-) -> Tensor:
-    """Final encoder norm, then the class token through the classifier head
-    (or the normed class token itself with ``return_features``)."""
+def readout(weights: dict[str, Tensor], cfg: BackboneConfig, x: Tensor) -> Tensor:
+    """Final encoder norm, then the class token through the classifier head.
+    ``x`` is the final block's [B, 1, D] output, which holds the class row
+    alone."""
     x = T.layer_norm(x, weights["backbone.norm.gamma"], weights["backbone.norm.beta"])
-    feats = T.reshape(T.slice_axis(x, 1, 0, 1), (x.shape[0], cfg.embed_dim))
-    if return_features:
-        return feats
+    feats = T.reshape(x, (x.shape[0], cfg.embed_dim))
     return T.linear(feats, weights["head.w"], weights["head.b"])
 
 
@@ -236,7 +251,6 @@ def model_forward(
     cfg: BackboneConfig,
     images: np.ndarray,
     prompts: PromptContext | None = None,
-    return_features: bool = False,
 ) -> Tensor:
     """Full forward pass: ``embed``, every block with the prompt context
     (none by default), then ``readout``."""
@@ -246,7 +260,7 @@ def model_forward(
     n_prompts = 0
     for i in range(cfg.num_layers):
         x, n_prompts = block_forward(x, i, weights, cfg, prompts, n_prompts)
-    return readout(weights, cfg, x, return_features)
+    return readout(weights, cfg, x)
 
 
 def pseudo_pretrain(

@@ -90,6 +90,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     try:
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
         entries = header["tensors"]
+        if not isinstance(entries, dict):
+            raise CheckpointError(
+                "corrupt_header", f"'tensors' is a JSON {type(entries).__name__}, not an object"
+            )
         parsed = {
             str(name): (tuple(int(d) for d in e["shape"]), str(e["dtype"]), int(e["offset"]))
             for name, e in entries.items()
@@ -103,6 +107,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     for name, (shape, dtype, offset) in ordered:
         if dtype != "f32":
             raise CheckpointError("corrupt_header", f"{name}: unsupported dtype {dtype!r}")
+        if any(d < 0 for d in shape):
+            raise CheckpointError("corrupt_header", f"{name}: negative dimension in {list(shape)}")
         if offset != expected_offset:
             raise CheckpointError(
                 "corrupt_header",

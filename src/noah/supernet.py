@@ -16,6 +16,10 @@ layer l depends only on the embedding and on the per-layer genes of layers
 always run on one prefix's state alone, never batched across candidates, so
 every accuracy is bit-identical to a whole ``model_forward`` of that config;
 scoring a single config is ``evaluate(model, images, labels, [config])[0]``.
+The walk's last level is the final block, which runs on the class row only
+(see ``backbone``). Candidates rarely share it, because it sits below every
+other gene, so trimming it to the row the readout reads cuts the cost of
+almost every fresh candidate.
 """
 
 from __future__ import annotations
@@ -56,8 +60,8 @@ class PromptedModel:
     def trainable(self) -> dict[str, Tensor]:
         return {n: t for n, t in self.weights.items() if t.requires_grad}
 
-    def forward(self, images: np.ndarray, config: SubnetConfig, return_features=False) -> Tensor:
-        return model_forward(self.weights, self.cfg, images, self.context(config), return_features)
+    def forward(self, images: np.ndarray, config: SubnetConfig) -> Tensor:
+        return model_forward(self.weights, self.cfg, images, self.context(config))
 
 
 def build_supernet(

@@ -317,24 +317,35 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def attention(
-    qkv: Tensor, heads: int, q_delta: Tensor | None = None, k_delta: Tensor | None = None
+    qkv: Tensor,
+    heads: int,
+    q_delta: Tensor | None = None,
+    k_delta: Tensor | None = None,
+    queries: int | None = None,
 ) -> Tensor:
     """Multi-head softmax(q kT / sqrt(head_dim)) v over packed [q|k|v] rows.
 
-    ``qkv`` is [B, N, 3D]; the optional [B, N, D] deltas are added to its q
-    and k columns. Heads are split, attended and merged inside one tape node
-    whose backward is derived by hand. Returns [B, N, D].
+    ``qkv`` is [B, N, 3D]. Only the first ``queries`` rows (all N by default)
+    attend: keys and values come from every row, and the output is
+    [B, queries, D]. The optional deltas are added to the q columns of those
+    rows ([B, queries, D]) and to the k columns of all rows ([B, N, D]).
+    Heads are split, attended and merged inside one tape node whose backward
+    is derived by hand; the q-gradient of rows past ``queries`` is zero.
     """
     if qkv.data.ndim != 3 or qkv.shape[2] % (3 * heads):
         raise GradientError(f"attention: packed qkv {qkv.shape} does not split into {heads} heads")
     b, n, d3 = qkv.shape
+    m = n if queries is None else queries
+    if not 1 <= m <= n:
+        raise GradientError(f"attention: {m} query rows outside [1, {n}]")
     d = d3 // 3
     hd = d // heads
     scale = 1.0 / np.sqrt(hd)
     # [3, B, H, N, hd] view of the packed rows, no copy
     qh, kh, vh = qkv.data.reshape(b, n, 3, heads, hd).transpose(2, 0, 3, 1, 4)
+    qh = qh[:, :, :m]
     if q_delta is not None:
-        qh = qh + q_delta.data.reshape(b, n, heads, hd).transpose(0, 2, 1, 3)
+        qh = qh + q_delta.data.reshape(b, m, heads, hd).transpose(0, 2, 1, 3)
     if k_delta is not None:
         kh = kh + k_delta.data.reshape(b, n, heads, hd).transpose(0, 2, 1, 3)
     p = qh @ kh.swapaxes(-1, -2)
@@ -344,11 +355,11 @@ def attention(
     p -= np.moveaxis(p, -1, 0).copy().max(axis=0)[..., None]
     np.exp(p, out=p)
     p /= np.einsum("...j->...", p)[..., None]
-    out = (p @ vh).transpose(0, 2, 1, 3).reshape(b, n, d)
+    out = (p @ vh).transpose(0, 2, 1, 3).reshape(b, m, d)
     parents = tuple(t for t in (qkv, q_delta, k_delta) if t is not None)
 
     def backward_fn(g):
-        gh = g.reshape(b, n, heads, hd).transpose(0, 2, 1, 3)
+        gh = g.reshape(b, m, heads, hd).transpose(0, 2, 1, 3)
         gqkv = np.empty((b, n, 3, heads, hd), qkv.data.dtype)
         gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
         gv[...] = p.swapaxes(-1, -2) @ gh
@@ -356,12 +367,13 @@ def attention(
         gs -= np.einsum("...j,...j->...", gs, p)[..., None]
         gs *= p
         gs *= scale
-        gq[...] = gs @ kh
+        gq[:, :, :m] = gs @ kh
+        gq[:, :, m:] = 0.0
         gk[...] = gs.swapaxes(-1, -2) @ qh
         gqkv = gqkv.reshape(b, n, d3)
         grads = [gqkv if qkv.requires_grad else None]
         if q_delta is not None:
-            grads.append(gqkv[..., :d] if q_delta.requires_grad else None)
+            grads.append(gqkv[:, :m, :d] if q_delta.requires_grad else None)
         if k_delta is not None:
             grads.append(gqkv[..., d:2 * d] if k_delta.requires_grad else None)
         return tuple(grads)

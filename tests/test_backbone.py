@@ -136,23 +136,25 @@ class TestForward:
         assert np.max(np.abs(plain.data - prompted.data)) == 0.0
 
     def test_vpt_extends_sequence_inside_blocks(self):
-        cfg = tiny_cfg()
+        cfg = tiny_cfg(num_layers=3)  # layer 1 is not the final block
         rng = np.random.default_rng(12)
         w = B.init_backbone(cfg, rng)
         banks = init_prompt_banks(cfg.num_layers, cfg.embed_dim, {"adapter": 4, "lora": 4, "vpt": 4}, rng)
         weights = {**w, **banks}
         config = SubnetConfig(
-            adapter=ModuleGene(0, (0, 0)), lora=ModuleGene(0, (0, 0)), vpt=ModuleGene(1, (3, 0))
+            adapter=ModuleGene(0, (0, 0, 0)), lora=ModuleGene(0, (0, 0, 0)),
+            vpt=ModuleGene(1, (3, 0, 0)),
         )
+        ctx = PromptContext(weights, config)
         images = rand_images(cfg, 1, seed=13)
-        x, n = B.block_forward(
-            B.embed(weights, cfg, images), 0, weights, cfg,
-            PromptContext(weights, config), 0
-        )
+        x, n = B.block_forward(B.embed(weights, cfg, images), 0, weights, cfg, ctx, 0)
         assert x.shape[1] == cfg.num_tokens + 3 and n == 3
         # next layer has no vpt: prompts are dropped again
-        x, n = B.block_forward(x, 1, weights, cfg, PromptContext(weights, config), n)
+        x, n = B.block_forward(x, 1, weights, cfg, ctx, n)
         assert x.shape[1] == cfg.num_tokens and n == 0
+        # the final block keeps the class row alone
+        x, n = B.block_forward(x, 2, weights, cfg, ctx, n)
+        assert x.shape == (1, 1, cfg.embed_dim) and n == 0
 
     def test_vpt_token_gradient_vs_finite_differences(self):
         cfg = tiny_cfg()
@@ -177,6 +179,34 @@ class TestForward:
         T.backward(loss_fn())
         err = max_rel_err(p.grad[:2], numeric_grad(loss_fn, p)[:2])
         assert err < 1e-3
+
+
+class TestFinalBlock:
+    def test_class_row_equals_full_block(self):
+        # layer 1 is final in a 2-layer model and not in a 3-layer one that
+        # shares its weights; VPT, LoRA and the adapter are active there
+        cfg2, cfg3 = tiny_cfg(), tiny_cfg(num_layers=3)
+        rng = np.random.default_rng(20)
+        w = B.init_backbone(cfg3, rng)
+        banks = init_prompt_banks(3, cfg3.embed_dim, {"adapter": 4, "lora": 4, "vpt": 4}, rng)
+        for t in banks.values():  # nonzero up-projections, so every module acts
+            t.data = rng.uniform(-0.5, 0.5, t.shape)
+        weights = cast64({**w, **banks})
+
+        def context(layers):
+            pad = (0,) * (layers - 2)
+            return PromptContext(weights, SubnetConfig(
+                adapter=ModuleGene(2, (2, 3) + pad), lora=ModuleGene(2, (1, 4) + pad),
+                vpt=ModuleGene(2, (3, 2) + pad),
+            ))
+
+        images = rand_images(cfg3, 2, seed=21, dtype=np.float64)
+        x, n = B.block_forward(B.embed(weights, cfg3, images), 0, weights, cfg3, context(3), 0)
+        full, n_full = B.block_forward(x, 1, weights, cfg3, context(3), n)
+        final, n_final = B.block_forward(x, 1, weights, cfg2, context(2), n)
+        assert full.shape == (2, cfg3.num_tokens + 2, cfg3.embed_dim) and n_full == 2
+        assert final.shape == (2, 1, cfg2.embed_dim) and n_final == 0
+        np.testing.assert_allclose(final.data, full.data[:, :1], rtol=0, atol=1e-12)
 
 
 class TestModelGradients:
@@ -215,6 +245,15 @@ class TestModelGradients:
         weights, loss_fn = self.build(SubnetConfig.empty(2), frozen=False)
         self.check(weights, loss_fn, [f"backbone.L0.attn.{n}" for n in ("wq", "wk", "wv", "bq")])
 
+    def test_unfrozen_final_block(self):
+        # the final block queries with the class row only; its q projection
+        # and everything after attention get gradient through that row alone
+        weights, loss_fn = self.build(SubnetConfig.empty(2), frozen=False)
+        names = [f"backbone.L1.attn.{n}" for n in ("wq", "wk", "wv", "bq", "wo")]
+        names += ["backbone.L1.mlp.w1", "backbone.L1.mlp.b2"]
+        names += ["backbone.L1.ln1.gamma", "backbone.L1.ln2.gamma"]
+        self.check(weights, loss_fn, names)
+
     def test_lora_banks(self):
         config = SubnetConfig(
             adapter=ModuleGene(0, (0, 0)), lora=ModuleGene(2, (3, 2)), vpt=ModuleGene(0, (0, 0))
@@ -229,6 +268,14 @@ class TestModelGradients:
         )
         weights, loss_fn = self.build(config)
         names = [f"adapter.L0.{n}" for n in ("w_down", "b_down", "w_up", "b_up")]
+        self.check(weights, loss_fn, names)
+
+    def test_final_block_banks(self):
+        config = SubnetConfig(
+            adapter=ModuleGene(2, (3, 2)), lora=ModuleGene(2, (2, 1)), vpt=ModuleGene(2, (2, 3))
+        )
+        weights, loss_fn = self.build(config)
+        names = [f"adapter.L1.{n}" for n in ("w_down", "b_down", "w_up", "b_up")] + ["vpt.L1.P"]
         self.check(weights, loss_fn, names)
 
 

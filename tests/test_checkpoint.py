@@ -113,6 +113,14 @@ class TestCorruption:
             C.load_checkpoint(path)
         assert exc.value.kind == "corrupt_header"
 
+    @staticmethod
+    def write_raw(path, header, payload):
+        header_bytes = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(
+            C.MAGIC + np.array(C.VERSION, "<u4").tobytes()
+            + np.array(len(header_bytes), "<u8").tobytes() + header_bytes + payload
+        )
+
     def test_overlapping_offsets(self, tmp_path):
         path = tmp_path / "d.ckpt"
         C.save_checkpoint(path, sample_tensors())
@@ -121,11 +129,25 @@ class TestCorruption:
         header = json.loads(raw[16 : 16 + header_len])
         names = sorted(header["tensors"])
         header["tensors"][names[1]]["offset"] = 0  # collide with the first
-        new_header = json.dumps(header, sort_keys=True).encode()
-        path.write_bytes(
-            raw[:8] + np.array(len(new_header), "<u8").tobytes() + new_header + raw[16 + header_len :]
-        )
+        self.write_raw(path, header, raw[16 + header_len :])
         with pytest.raises(C.CheckpointError) as exc:
+            C.load_checkpoint(path)
+        assert exc.value.kind == "corrupt_header"
+
+    def test_negative_dims_rejected(self, tmp_path):
+        # two negative dims multiply to a positive size that fits the payload
+        path = tmp_path / "n.ckpt"
+        header = {"tensors": {"w": {"shape": [-1, -1], "dtype": "f32", "offset": 0}}}
+        self.write_raw(path, header, b"\x00" * 4)
+        with pytest.raises(C.CheckpointError, match="w: negative dimension") as exc:
+            C.load_checkpoint(path)
+        assert exc.value.kind == "corrupt_header"
+
+    def test_tensors_not_an_object(self, tmp_path):
+        path = tmp_path / "l.ckpt"
+        entry = {"shape": [1], "dtype": "f32", "offset": 0}
+        self.write_raw(path, {"tensors": [entry]}, b"\x00" * 4)
+        with pytest.raises(C.CheckpointError, match="'tensors' is a JSON list") as exc:
             C.load_checkpoint(path)
         assert exc.value.kind == "corrupt_header"
 

@@ -130,7 +130,11 @@ class TestEvaluate:
         images, _ = rand_data(cfg, 2, seed=9)
         labels = np.array([0, 1])
         config = SubnetConfig.empty(2)
-        feats = sn.forward(images, config, return_features=True).data
+        # an identity head reads out the normed class-token features exactly
+        d = cfg.embed_dim
+        sn.weights["head.w"] = Tensor(np.eye(d, dtype=np.float32), requires_grad=True)
+        sn.weights["head.b"] = Tensor(np.zeros(d, np.float32), requires_grad=True)
+        feats = sn.forward(images, config).data
         w = np.stack([feats[0] - feats[1], feats[1] - feats[0]], axis=1)
         sn.weights["head.w"] = Tensor(w.astype(np.float32), requires_grad=True)
         sn.weights["head.b"] = Tensor(np.zeros(2, np.float32), requires_grad=True)

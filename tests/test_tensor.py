@@ -184,6 +184,34 @@ class TestAttention:
         with pytest.raises(T.GradientError, match="3 heads"):
             T.attention(self.packed(34), 3)
 
+    @pytest.mark.parametrize("lora", [False, True], ids=["plain", "qk_delta"])
+    def test_leading_query_rows(self, lora):
+        # one query row: the first row of full attention, with keys and
+        # values from every row; the other rows' q columns get zero gradient
+        rng = np.random.default_rng(35)
+        qkv = self.packed(36, scale=2.0)
+        mix = t64(rng.uniform(-1, 1, (self.B, 1, self.D)))
+        params = [qkv]
+        dq = dk = full_dq = None
+        if lora:
+            dq = t64(rng.uniform(-1, 1, (self.B, 1, self.D)), requires_grad=True)
+            dk = t64(rng.uniform(-1, 1, (self.B, self.N, self.D)), requires_grad=True)
+            params += [dq, dk]
+            full_dq = t64(np.concatenate([dq.data, np.zeros((self.B, self.N - 1, self.D))], axis=1))
+        out = T.attention(qkv, self.HEADS, dq, dk, queries=1)
+        assert out.shape == (self.B, 1, self.D)
+        full = T.attention(qkv, self.HEADS, full_dq, dk).data[:, :1]
+        np.testing.assert_allclose(out.data, full, rtol=0, atol=1e-12)
+        check_grads(
+            lambda: T.sum_all(T.mul(T.attention(qkv, self.HEADS, dq, dk, queries=1), mix)), params
+        )
+        assert np.all(qkv.grad[:, 1:, :self.D] == 0.0)
+
+    @pytest.mark.parametrize("queries", [0, N + 1])
+    def test_query_rows_out_of_range_rejected(self, queries):
+        with pytest.raises(T.GradientError, match="query rows"):
+            T.attention(self.packed(37), self.HEADS, queries=queries)
+
 
 def _fused_cases():
     """(name, inputs, forward) for each op that fuses or writes in place."""
@@ -198,6 +226,8 @@ def _fused_cases():
         ("attention", (qkv, t(2, 5, 8), t(2, 5, 8)), lambda a, dq, dk: T.attention(a, 2, dq, dk)),
         ("gelu", (t(3, 7),), T.gelu),
         ("layer_norm", (t(2, 3, 6), t(6), t(6)), T.layer_norm),
+        ("attention_queries", (t(2, 5, 24), t(2, 2, 8), t(2, 5, 8)),
+         lambda a, dq, dk: T.attention(a, 2, dq, dk, queries=2)),
     ]
 
 
