@@ -2,15 +2,16 @@
 
 Pre-norm blocks, GELU MLP, and a final encoder norm (standard ViT layout; the
 method itself does not constrain these). Per block, prompt modules attach at
-fixed points: VPT tokens at the block input, LoRA as additive deltas on the
-query/key projections, and the adapter bottleneck on the MLP output inside
+fixed points: VPT tokens at the block input, LoRA merged into the query/key
+projection weights (W + BA, formed before the QKV GEMM, so the low-rank path
+adds no per-row work), and the adapter bottleneck on the MLP output inside
 the residual branch.
 
 The final block computes only what the readout reads. The classifier sees
 the class token alone, and no later block attends to the other rows, so the
 final block takes keys and values from every row (after injecting its VPT
-tokens) but queries with the class row only: the LoRA q-delta, attention,
-output projection, residual, ln2, MLP and adapter run on that one row. Its
+tokens) but queries with the class row only: attention, output projection,
+residual, ln2, MLP and adapter run on that one row. Its
 output is [B, 1, D]. Every block before it keeps all rows, because the next
 block's keys and values need them.
 """
@@ -161,22 +162,21 @@ def msa_forward(
     prompts: PromptContext,
 ) -> Tensor:
     """softmax(q kT / sqrt(head_dim)) v per head, heads merged, projected.
-    One projection onto the concatenated q/k/v weights; LoRA deltas land on
-    the q and k columns before the attention product. At the final layer
-    only the class row queries: the output is [B, 1, D]."""
+    One projection onto the concatenated q/k/v weights. An active LoRA is
+    merged into the q and k weights first (``wq + w_down @ w_up`` at rank r,
+    and the k twin), so every row goes through the one QKV GEMM. At the
+    final layer only the class row queries: the output is [B, 1, D]."""
     p = f"backbone.L{layer}.attn."
     queries = 1 if layer == cfg.num_layers - 1 else None
-    w = T.concat([weights[p + "wq"], weights[p + "wk"], weights[p + "wv"]], axis=1)
-    b = T.concat([weights[p + "bq"], weights[p + "bk"], weights[p + "bv"]], axis=0)
-    qkv = T.linear(xn, w, b)
-    dq = dk = None
+    wq, wk = weights[p + "wq"], weights[p + "wk"]
     lora = prompts.lora_at(layer)
     if lora is not None:
         q_down, q_up, k_down, k_up, r = lora
-        xq = xn if queries is None else T.slice_axis(xn, 1, 0, queries)
-        dq = lora_delta(xq, q_down, q_up, r)
-        dk = lora_delta(xn, k_down, k_up, r)
-    out = T.attention(qkv, cfg.num_heads, dq, dk, queries)
+        wq = T.add(wq, lora_delta(q_down, q_up, r))
+        wk = T.add(wk, lora_delta(k_down, k_up, r))
+    w = T.concat([wq, wk, weights[p + "wv"]], axis=1)
+    b = T.concat([weights[p + "bq"], weights[p + "bk"], weights[p + "bv"]], axis=0)
+    out = T.attention(T.linear(xn, w, b), cfg.num_heads, queries)
     return T.linear(out, weights[p + "wo"], weights[p + "bo"])
 
 
@@ -206,8 +206,10 @@ def block_forward(
     x = T.add(x, attn)
 
     un = T.layer_norm(x, weights[p + "ln2.gamma"], weights[p + "ln2.beta"])
-    mlp_out = T.linear(
-        T.gelu(T.linear(un, weights[p + "mlp.w1"], weights[p + "mlp.b1"])),
+    mlp_out = T.mlp(
+        un,
+        weights[p + "mlp.w1"],
+        weights[p + "mlp.b1"],
         weights[p + "mlp.w2"],
         weights[p + "mlp.b2"],
     )

@@ -76,6 +76,18 @@ def save_checkpoint(path, tensors: dict) -> None:
             f.write(blob)
 
 
+def _header_entry(name: str, entry: dict) -> tuple[tuple[int, ...], str, int]:
+    """(shape, dtype, offset) of one header entry; the shape must be a list
+    of JSON integers and the offset a JSON integer, never truncated."""
+    shape, offset = entry["shape"], entry["offset"]
+    # type() and not isinstance(): JSON true/false load as bool, an int subclass
+    if not (isinstance(shape, list) and all(type(v) is int for v in [*shape, offset])):
+        raise CheckpointError(
+            "corrupt_header", f"{name}: shape {shape!r} and offset {offset!r} must be integers"
+        )
+    return tuple(shape), str(entry["dtype"]), offset
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read and validate a checkpoint; returns name -> float32 array."""
     raw = Path(path).read_bytes()
@@ -94,10 +106,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             raise CheckpointError(
                 "corrupt_header", f"'tensors' is a JSON {type(entries).__name__}, not an object"
             )
-        parsed = {
-            str(name): (tuple(int(d) for d in e["shape"]), str(e["dtype"]), int(e["offset"]))
-            for name, e in entries.items()
-        }
+        parsed = {str(name): _header_entry(str(name), e) for name, e in entries.items()}
     except (KeyError, TypeError, ValueError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError("corrupt_header", str(exc)) from exc
 

@@ -29,7 +29,7 @@ from .supernet import (
     fresh_subnet,
     train_model,
 )
-from .tensor import Tensor, set_debug_validation
+from .tensor import Tensor, debug_validation
 
 log = logging.getLogger("noah.pipeline")
 
@@ -109,21 +109,21 @@ def build_frozen_backbone(run: RunConfig, cfg: BackboneConfig) -> tuple[dict, li
 def train_supernet_stage(
     run: RunConfig, dataset: Dataset
 ) -> tuple[PromptedModel, dict[str, list[dict]]]:
-    cfg = backbone_config(run, dataset)
-    weights, pretrain_log = build_frozen_backbone(run, cfg)
-    spec = search_spec(run, weights)
-    rng = np.random.default_rng(run.seed)
-    set_debug_validation(run.runtime.debug_validation)
-    sn = build_supernet(weights, cfg, spec, rng)
-    images, labels = dataset.normalized("train")
-    log.info(
-        "training supernet: budget %d params, %d train samples, %d epochs",
-        spec.budget, len(labels), run.supernet_hyper.total_epochs,
-    )
-    train_log = train_model(
-        sn, images, labels, run.supernet_hyper.to_hyper(), rng,
-        lambda: S.sample_uniform(spec, rng),
-    )
+    with debug_validation(run.runtime.debug_validation):
+        cfg = backbone_config(run, dataset)
+        weights, pretrain_log = build_frozen_backbone(run, cfg)
+        spec = search_spec(run, weights)
+        rng = np.random.default_rng(run.seed)
+        sn = build_supernet(weights, cfg, spec, rng)
+        images, labels = dataset.normalized("train")
+        log.info(
+            "training supernet: budget %d params, %d train samples, %d epochs",
+            spec.budget, len(labels), run.supernet_hyper.total_epochs,
+        )
+        train_log = train_model(
+            sn, images, labels, run.supernet_hyper.to_hyper(), rng,
+            lambda: S.sample_uniform(spec, rng),
+        )
     return sn, {"pretrain": pretrain_log, "train": train_log}
 
 
@@ -137,14 +137,15 @@ def evolve_stage(
     def fitness(configs: list[S.SubnetConfig]) -> list[float]:
         return evaluate(sn, images, labels, configs, counts=counts)
 
-    return evolve(
-        fitness,
-        sn.spec,
-        run.evolution.to_schedule(),
-        rng,
-        seed_note=run.seed + 1,
-        counts=counts,
-    )
+    with debug_validation(run.runtime.debug_validation):
+        return evolve(
+            fitness,
+            sn.spec,
+            run.evolution.to_schedule(),
+            rng,
+            seed_note=run.seed + 1,
+            counts=counts,
+        )
 
 
 def retrain_stage(
@@ -152,12 +153,13 @@ def retrain_stage(
 ) -> tuple[PromptedModel, list[dict]]:
     """Fixed-architecture training; warm-starts from inherited weights unless
     the config asks for a from-scratch run."""
-    rng = np.random.default_rng(run.seed + 2)
-    if run.runtime.retrain_from_scratch:
-        model = fresh_subnet(sn.weights, sn.cfg, sn.spec, config, rng)
-    else:
-        model = extract_subnet(sn, config)
-    return model, _train_fixed(run, model, config, dataset, rng)
+    with debug_validation(run.runtime.debug_validation):
+        rng = np.random.default_rng(run.seed + 2)
+        if run.runtime.retrain_from_scratch:
+            model = fresh_subnet(sn.weights, sn.cfg, sn.spec, config, rng)
+        else:
+            model = extract_subnet(sn, config)
+        return model, _train_fixed(run, model, config, dataset, rng)
 
 
 def _train_fixed(
@@ -194,22 +196,22 @@ def baseline_stage(
     backbone_weights: dict | None = None,
 ) -> tuple[PromptedModel, list[dict], S.SubnetConfig]:
     """Train one fixed prompt module from scratch on the frozen backbone."""
-    cfg = backbone_config(run, dataset)
-    if backbone_weights is None:
-        backbone_weights, _ = build_frozen_backbone(run, cfg)
-    spec = search_spec(run, backbone_weights)
-    if dim is None or depth is None:
-        auto_dim, auto_depth = matched_budget_single_module(spec, module)
-        dim = dim if dim is not None else auto_dim
-        depth = depth if depth is not None else auto_depth
-    config = S.SubnetConfig.uniform(module, dim, depth, spec.num_layers)
-    violations = [v for v in S.validate(config, spec) if v.code != "over_budget"]
-    if violations:
-        raise ConfigError("; ".join(f"{v.code}: {v.message}" for v in violations))
-    rng = np.random.default_rng(run.seed + 3)
-    set_debug_validation(run.runtime.debug_validation)
-    model = fresh_subnet(backbone_weights, cfg, spec, config, rng)
-    return model, _train_fixed(run, model, config, dataset, rng), config
+    with debug_validation(run.runtime.debug_validation):
+        cfg = backbone_config(run, dataset)
+        if backbone_weights is None:
+            backbone_weights, _ = build_frozen_backbone(run, cfg)
+        spec = search_spec(run, backbone_weights)
+        if dim is None or depth is None:
+            auto_dim, auto_depth = matched_budget_single_module(spec, module)
+            dim = dim if dim is not None else auto_dim
+            depth = depth if depth is not None else auto_depth
+        config = S.SubnetConfig.uniform(module, dim, depth, spec.num_layers)
+        violations = [v for v in S.validate(config, spec) if v.code != "over_budget"]
+        if violations:
+            raise ConfigError("; ".join(f"{v.code}: {v.message}" for v in violations))
+        rng = np.random.default_rng(run.seed + 3)
+        model = fresh_subnet(backbone_weights, cfg, spec, config, rng)
+        return model, _train_fixed(run, model, config, dataset, rng), config
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +236,6 @@ def supernet_from_checkpoint(path, run: RunConfig, dataset: Dataset) -> Prompted
     weights = load_model_weights(path)
     cfg = backbone_config(run, dataset)
     _check_shapes(weights, cfg)
-    set_debug_validation(run.runtime.debug_validation)
     return PromptedModel(cfg=cfg, spec=search_spec(run, weights), weights=weights)
 
 
@@ -266,4 +267,5 @@ def evaluate_checkpoint(
     retrained one."""
     model = supernet_from_checkpoint(path, run, dataset)
     images, labels = dataset.normalized(split)
-    return evaluate(model, images, labels, [config])[0]
+    with debug_validation(run.runtime.debug_validation):
+        return evaluate(model, images, labels, [config])[0]

@@ -117,14 +117,14 @@ def adapter_bottleneck(
     return T.linear(T.relu(T.linear(h, wd, bd)), wu, b_up)
 
 
-def lora_delta(x: Tensor, w_down: Tensor, w_up: Tensor, r: int) -> Tensor:
-    """x @ w_down[:, :r] @ w_up[:r, :]; caller adds it to the frozen
-    projection output."""
+def lora_delta(w_down: Tensor, w_up: Tensor, r: int) -> Tensor:
+    """w_down[:, :r] @ w_up[:r, :], the [D, D] low-rank update; the caller
+    adds it to the frozen projection weight."""
     if not 1 <= r <= w_down.shape[1]:
         raise ValueError(f"lora dim {r} outside [1, {w_down.shape[1]}]")
     wd = T.slice_axis(w_down, 1, 0, r)
     wu = T.slice_axis(w_up, 0, 0, r)
-    return T.linear(T.linear(x, wd), wu)
+    return T.linear(wd, wu)
 
 
 def inject_prompts(x: Tensor, prompt_rows: Tensor | None, current: int) -> tuple[Tensor, int]:

@@ -40,9 +40,6 @@ class SubnetConfig:
     def num_layers(self) -> int:
         return len(self.adapter.dims)
 
-    def is_empty(self) -> bool:
-        return all(all(d == 0 for d in self.gene(m).dims) for m in MODULES)
-
     def active_dim(self, module: str, layer: int) -> int:
         g = self.gene(module)
         return g.dims[layer] if layer < g.depth else 0
@@ -154,9 +151,6 @@ class SearchSpaceSpec:
         """Per-layer gene values: the dim choices plus 0 (module absent here)."""
         return (0,) + tuple(self.dim_choices[module])
 
-    def depth_gene_choices(self) -> tuple[int, ...]:
-        return (0,) + tuple(self.depth_choices)
-
 
 # ---------------------------------------------------------------------------
 # parameter accounting
@@ -227,12 +221,6 @@ def validate(config: SubnetConfig, spec: SearchSpaceSpec) -> list[Violation]:
             )
         )
     return out
-
-
-def check_valid(config: SubnetConfig, spec: SearchSpaceSpec) -> None:
-    violations = validate(config, spec)
-    if violations:
-        raise SpaceError("; ".join(f"{v.code}: {v.message}" for v in violations))
 
 
 def canonicalize(config: SubnetConfig) -> SubnetConfig:

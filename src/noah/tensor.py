@@ -7,11 +7,14 @@ once. Tensors are immutable after creation except for gradient accumulation
 into ``.grad``.
 
 The hot ops are fused, one tape node each: ``linear`` (one GEMM plus bias
-over all leading axes) and ``attention`` (head split, scaled q kT, softmax,
-.v and head merge over packed [q|k|v] rows, with a hand-derived backward);
-``gelu`` and ``layer_norm`` work in place on their own temporaries. The
-in-place rule: an op may write only into arrays it allocated itself. It never
-writes into an input's ``.data``, nor into the incoming gradient ``g`` of its
+over all leading axes), ``attention`` (head split, scaled q kT, softmax,
+.v and head merge over packed [q|k|v] rows, with a hand-derived backward)
+and ``mlp`` (linear, GELU, linear). ``mlp`` runs in blocks of ``MLP_ROWS``
+rows so that its [rows, hidden] temporaries stay in cache; only its weight
+gradients are taken over all rows at once, one GEMM or sum each. ``gelu``
+and ``layer_norm`` work in place on their own temporaries. The in-place
+rule: an op may write only into arrays it allocated itself. It never writes
+into an input's ``.data``, nor into the incoming gradient ``g`` of its
 backward closure, because ``add`` hands the same array to both parents and
 ``reshape`` passes on a view of it.
 """
@@ -32,10 +35,16 @@ class GradientError(Exception):
     """Raised on contract violations in the autodiff machinery."""
 
 
-def set_debug_validation(enabled: bool) -> None:
-    """Toggle NaN/Inf checking of every op output (off by default)."""
+@contextmanager
+def debug_validation(enabled: bool = True):
+    """Check every op output for NaN/Inf inside the block (off by default)."""
     global _DEBUG_VALIDATE
+    prev = _DEBUG_VALIDATE
     _DEBUG_VALIDATE = bool(enabled)
+    try:
+        yield
+    finally:
+        _DEBUG_VALIDATE = prev
 
 
 @contextmanager
@@ -97,9 +106,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -316,21 +322,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _make(out.reshape(x.shape[:-1] + (w.shape[1],)), parents, backward_fn)
 
 
-def attention(
-    qkv: Tensor,
-    heads: int,
-    q_delta: Tensor | None = None,
-    k_delta: Tensor | None = None,
-    queries: int | None = None,
-) -> Tensor:
+def attention(qkv: Tensor, heads: int, queries: int | None = None) -> Tensor:
     """Multi-head softmax(q kT / sqrt(head_dim)) v over packed [q|k|v] rows.
 
     ``qkv`` is [B, N, 3D]. Only the first ``queries`` rows (all N by default)
     attend: keys and values come from every row, and the output is
-    [B, queries, D]. The optional deltas are added to the q columns of those
-    rows ([B, queries, D]) and to the k columns of all rows ([B, N, D]).
-    Heads are split, attended and merged inside one tape node whose backward
-    is derived by hand; the q-gradient of rows past ``queries`` is zero.
+    [B, queries, D]. Heads are split, attended and merged inside one tape
+    node whose backward is derived by hand; the q-gradient of rows past
+    ``queries`` is zero.
     """
     if qkv.data.ndim != 3 or qkv.shape[2] % (3 * heads):
         raise GradientError(f"attention: packed qkv {qkv.shape} does not split into {heads} heads")
@@ -344,10 +343,6 @@ def attention(
     # [3, B, H, N, hd] view of the packed rows, no copy
     qh, kh, vh = qkv.data.reshape(b, n, 3, heads, hd).transpose(2, 0, 3, 1, 4)
     qh = qh[:, :, :m]
-    if q_delta is not None:
-        qh = qh + q_delta.data.reshape(b, m, heads, hd).transpose(0, 2, 1, 3)
-    if k_delta is not None:
-        kh = kh + k_delta.data.reshape(b, n, heads, hd).transpose(0, 2, 1, 3)
     p = qh @ kh.swapaxes(-1, -2)
     p *= scale
     # row max over a transposed copy and row sums by einsum: numpy's
@@ -356,7 +351,6 @@ def attention(
     np.exp(p, out=p)
     p /= np.einsum("...j->...", p)[..., None]
     out = (p @ vh).transpose(0, 2, 1, 3).reshape(b, m, d)
-    parents = tuple(t for t in (qkv, q_delta, k_delta) if t is not None)
 
     def backward_fn(g):
         gh = g.reshape(b, m, heads, hd).transpose(0, 2, 1, 3)
@@ -370,15 +364,80 @@ def attention(
         gq[:, :, :m] = gs @ kh
         gq[:, :, m:] = 0.0
         gk[...] = gs.swapaxes(-1, -2) @ qh
-        gqkv = gqkv.reshape(b, n, d3)
-        grads = [gqkv if qkv.requires_grad else None]
-        if q_delta is not None:
-            grads.append(gqkv[:, :m, :d] if q_delta.requires_grad else None)
-        if k_delta is not None:
-            grads.append(gqkv[..., d:2 * d] if k_delta.requires_grad else None)
-        return tuple(grads)
+        return (gqkv.reshape(b, n, d3),)
 
-    return _make(out, parents, backward_fn)
+    return _make(out, (qkv,), backward_fn)
+
+
+MLP_ROWS = 256  # rows per block of ``mlp``; fastest of 64/128/256/512 on eval-sized inputs
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 over the rows of all leading axes, one tape node.
+
+    Each block of ``MLP_ROWS`` rows runs both GEMMs and the GELU between them
+    while its [rows, hidden] temporaries are still in cache. When recording,
+    the pre-activation and its tanh are written into saved [rows, hidden]
+    buffers for the backward; under ``no_grad`` nothing is saved. The
+    backward runs the GELU derivative and the input gradient per block, and
+    each weight gradient as one GEMM or sum over all rows.
+    """
+    if (
+        w1.data.ndim != 2 or w2.data.ndim != 2 or x.data.ndim == 0
+        or x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]
+    ):
+        raise GradientError(f"mlp shape mismatch: {x.shape} @ {w1.shape} @ {w2.shape}")
+    parents = (x, w1, b1, w2, b2)
+    record = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    rows = x.data.reshape(-1, x.shape[-1])
+    n, hidden = rows.shape[0], w1.shape[1]
+    dtype = rows.dtype
+    out = np.empty((n, w2.shape[1]), dtype)
+    blocks = [(lo, min(lo + MLP_ROWS, n)) for lo in range(0, n, MLP_ROWS)]
+    block_rows = min(MLP_ROWS, n)
+    # pre-activation h and its tanh t: every row is kept for the backward
+    # when recording, otherwise one block's buffers are reused
+    h_all = np.empty((n if record else block_rows, hidden), dtype)
+    t_all = np.empty_like(h_all)
+    a_buf = np.empty((block_rows, hidden), dtype)
+    for lo, hi in blocks:
+        kept = slice(lo, hi) if record else slice(0, hi - lo)
+        h, t, a = h_all[kept], t_all[kept], a_buf[: hi - lo]
+        np.matmul(rows[lo:hi], w1.data, out=h)
+        h += b1.data
+        _gelu_tanh(h, t)
+        _gelu_from_tanh(h, t, a)
+        np.matmul(a, w2.data, out=out[lo:hi])
+        out[lo:hi] += b2.data
+
+    def backward_fn(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gx = np.empty_like(rows) if x.requires_grad else None
+        # gh and the GELU output are staged over all rows for the weight
+        # gradients that need them; gh is otherwise one reused block
+        stage_gh = w1.requires_grad or b1.requires_grad
+        gh_all = np.empty((n if stage_gh else block_rows, hidden), dtype)
+        a_all = np.empty((n, hidden), dtype) if w2.requires_grad else None
+        ga_buf = np.empty((block_rows, hidden), dtype)
+        for lo, hi in blocks:
+            h, t = h_all[lo:hi], t_all[lo:hi]
+            if a_all is not None:
+                _gelu_from_tanh(h, t, a_all[lo:hi])
+            ga = ga_buf[: hi - lo]
+            np.matmul(g2[lo:hi], w2.data.T, out=ga)
+            gh = gh_all[lo:hi] if stage_gh else gh_all[: hi - lo]
+            _gelu_grad(h, t, ga, gh)
+            if gx is not None:
+                np.matmul(gh, w1.data.T, out=gx[lo:hi])
+        return (
+            gx.reshape(x.shape) if gx is not None else None,
+            rows.T @ gh_all if w1.requires_grad else None,
+            gh_all.sum(axis=0) if b1.requires_grad else None,
+            a_all.T @ g2 if w2.requires_grad else None,
+            g2.sum(axis=0) if b2.requires_grad else None,
+        )
+
+    return _make(out.reshape(x.shape[:-1] + (w2.shape[1],)), parents, backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -399,34 +458,52 @@ def relu(a: Tensor) -> Tensor:
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
-    x = a.data
-    t = x * 0.044715
+def _gelu_tanh(x: np.ndarray, t: np.ndarray) -> None:
+    """t = tanh(c*(x + 0.044715*x^3)), the factor GELU and its derivative share."""
+    np.multiply(x, 0.044715, out=t)
     t *= x
     t *= x
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = x * 0.5
-    out *= t + 1.0
+
+
+def _gelu_from_tanh(x: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+    """out = 0.5*x*(1 + t), GELU's tanh approximation given ``t``."""
+    np.add(t, 1.0, out=out)
+    out *= x
+    out *= 0.5
+
+
+def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
+    """out = g * d gelu/dx = g * 0.5*(x*(1 - t^2)*c*(1 + 3*0.044715*x^2) + t + 1)."""
+    np.multiply(x, x, out=out)
+    out *= 3.0 * 0.044715
+    out += 1.0
+    out *= _GELU_C
+    u = t * t
+    np.subtract(1.0, u, out=u)
+    u *= x
+    out *= u
+    out += t
+    out += 1.0
+    out *= 0.5
+    out *= g
+
+
+def gelu(a: Tensor) -> Tensor:
+    """GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
+    x = a.data
+    t = np.empty_like(x)
+    _gelu_tanh(x, t)
+    out = np.empty_like(x)
+    _gelu_from_tanh(x, t, out)
 
     def backward_fn(g):
         if not a.requires_grad:
             return (None,)
-        # d/dx = 0.5*(x*(1 - t^2)*c*(1 + 3*0.044715*x^2) + t + 1)
-        d = x * x
-        d *= 3.0 * 0.044715
-        d += 1.0
-        d *= _GELU_C
-        u = t * t
-        np.subtract(1.0, u, out=u)
-        u *= x
-        d *= u
-        d += t
-        d += 1.0
-        d *= 0.5
-        d *= g
+        d = np.empty_like(x)
+        _gelu_grad(x, t, g, d)
         return (d,)
 
     return _make(out, (a,), backward_fn)

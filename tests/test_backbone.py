@@ -101,6 +101,31 @@ class TestMsa:
         expected = attn @ v @ mat("wo") + mat("bo")
         np.testing.assert_allclose(out, expected, atol=1e-5)
 
+    @pytest.mark.parametrize("layer", [0, 1], ids=["inner", "final"])
+    @pytest.mark.parametrize("r", [1, 5])
+    def test_lora_equals_merged_weights(self, r, layer):
+        # LoRA at rank r is the plain projection with wq := wq + wd[:, :r] @ wu[:r]
+        # (and the k twin); layer 1 is the final block, queried by the class row
+        cfg = tiny_cfg()
+        rng = np.random.default_rng(6)
+        w = cast64(self.one_layer_weights(cfg, seed=5))
+        banks = init_prompt_banks(cfg.num_layers, cfg.embed_dim, {"adapter": 8, "lora": 8, "vpt": 8}, rng)
+        banks = {n: Tensor(rng.uniform(-0.5, 0.5, t.shape)) for n, t in banks.items()}
+        config = SubnetConfig(
+            adapter=ModuleGene(0, (0, 0)), lora=ModuleGene(2, (r, r)), vpt=ModuleGene(0, (0, 0))
+        )
+        merged = dict(w)
+        for proj in ("q", "k"):
+            wd = banks[f"lora.L{layer}.{proj}.w_down"].data[:, :r]
+            wu = banks[f"lora.L{layer}.{proj}.w_up"].data[:r]
+            name = f"backbone.L{layer}.attn.w{proj}"
+            merged[name] = Tensor(w[name].data + wd @ wu)
+        xn = Tensor(rng.standard_normal((2, 5, cfg.embed_dim)))
+        lora = B.msa_forward(xn, {**w, **banks}, layer, cfg, PromptContext(banks, config))
+        plain = B.msa_forward(xn, merged, layer, cfg, PromptContext({}, SubnetConfig.empty(2)))
+        assert lora.shape == plain.shape == (2, 5 if layer == 0 else 1, cfg.embed_dim)
+        np.testing.assert_allclose(lora.data, plain.data, rtol=0, atol=1e-12)
+
 
 class TestForward:
     def test_empty_config_matches_plain_backbone(self):

@@ -143,6 +143,21 @@ class TestCorruption:
             C.load_checkpoint(path)
         assert exc.value.kind == "corrupt_header"
 
+    @pytest.mark.parametrize(
+        "shape, offset",
+        [([1.9, True], 0.5), ([1.9], 0), ([True], 0), ([1], 0.5), ("1", 0), ([1], "0")],
+        ids=["float_bool_shape_float_offset", "float_dim", "bool_dim", "float_offset",
+             "string_shape", "string_offset"],
+    )
+    def test_non_integer_shape_or_offset_rejected(self, tmp_path, shape, offset):
+        # int() would truncate these to a (1, 1) or (1,) tensor at offset 0
+        path = tmp_path / "i.ckpt"
+        header = {"tensors": {"w": {"shape": shape, "dtype": "f32", "offset": offset}}}
+        self.write_raw(path, header, b"\x00" * 4)
+        with pytest.raises(C.CheckpointError, match="w: shape") as exc:
+            C.load_checkpoint(path)
+        assert exc.value.kind == "corrupt_header"
+
     def test_tensors_not_an_object(self, tmp_path):
         path = tmp_path / "l.ckpt"
         entry = {"shape": [1], "dtype": "f32", "offset": 0}

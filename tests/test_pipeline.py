@@ -181,3 +181,37 @@ class TestSearch:
             # at most one block per layer per fresh config; the val split is one batch slice
             assert g["block_forwards"] <= g["fresh"] * run.backbone.num_layers
             assert (g["block_forwards"] > 0) == (g["fresh"] > 0)
+
+
+def nan_checks_on() -> bool:
+    try:
+        T.add(T.Tensor([1.0]), T.Tensor([np.inf]))
+    except T.GradientError:
+        return True
+    return False
+
+
+class TestDebugValidation:
+    """``runtime.debug_validation`` checks op outputs inside a stage only."""
+
+    @pytest.mark.parametrize("stage", ["supernet", "baseline"])
+    def test_flag_restored_after_stage(self, stage):
+        run, dataset = tiny_run(runtime={"debug_validation": True})
+        if stage == "supernet":
+            P.train_supernet_stage(run, dataset)
+        else:
+            P.baseline_stage(run, dataset, "adapter")
+        assert not nan_checks_on()
+
+    def test_flag_restored_when_stage_raises(self, monkeypatch):
+        run, dataset = tiny_run(runtime={"debug_validation": True})
+        seen = []
+
+        def failing_training(*args, **kwargs):
+            seen.append(nan_checks_on())
+            raise RuntimeError("training failed")
+
+        monkeypatch.setattr(P, "train_model", failing_training)
+        with pytest.raises(RuntimeError, match="training failed"):
+            P.train_supernet_stage(run, dataset)
+        assert seen == [True] and not nan_checks_on()

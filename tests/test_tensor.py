@@ -105,12 +105,10 @@ def split_heads(a, heads):
     return a.reshape(b, n, heads, d // heads).transpose(0, 2, 1, 3)
 
 
-def reference_attention(qkv, heads, dq=0.0, dk=0.0):
+def reference_attention(qkv, heads):
     """Float64 attention from plain numpy, one head at a time."""
     d = qkv.shape[-1] // 3
-    q, k, v = (
-        split_heads(a, heads) for a in (qkv[..., :d] + dq, qkv[..., d:2 * d] + dk, qkv[..., 2 * d:])
-    )
+    q, k, v = (split_heads(a, heads) for a in (qkv[..., :d], qkv[..., d:2 * d], qkv[..., 2 * d:]))
     out = np.zeros_like(q)
     for bi in range(q.shape[0]):
         for h in range(heads):
@@ -134,22 +132,11 @@ class TestAttention:
         assert out.shape == (self.B, self.N, self.D) and out._parents == (qkv,)
         np.testing.assert_allclose(out.data, reference_attention(qkv.data, self.HEADS), atol=1e-12)
 
-    @pytest.mark.parametrize("lora", [False, True], ids=["plain", "qk_delta"])
-    def test_gradients(self, lora):
+    def test_gradients(self):
         rng = np.random.default_rng(31)
         qkv = self.packed(32, scale=2.0)
         mix = t64(rng.uniform(-1, 1, (self.B, self.N, self.D)))
-        params = [qkv]
-        dq = dk = None
-        if lora:
-            dq = t64(rng.uniform(-1, 1, (self.B, self.N, self.D)), requires_grad=True)
-            dk = t64(rng.uniform(-1, 1, (self.B, self.N, self.D)), requires_grad=True)
-            params += [dq, dk]
-            out = T.attention(qkv, self.HEADS, dq, dk)
-            np.testing.assert_allclose(
-                out.data, reference_attention(qkv.data, self.HEADS, dq.data, dk.data), atol=1e-12
-            )
-        check_grads(lambda: T.sum_all(T.mul(T.attention(qkv, self.HEADS, dq, dk), mix)), params)
+        check_grads(lambda: T.sum_all(T.mul(T.attention(qkv, self.HEADS), mix)), [qkv])
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -184,27 +171,17 @@ class TestAttention:
         with pytest.raises(T.GradientError, match="3 heads"):
             T.attention(self.packed(34), 3)
 
-    @pytest.mark.parametrize("lora", [False, True], ids=["plain", "qk_delta"])
-    def test_leading_query_rows(self, lora):
+    def test_leading_query_rows(self):
         # one query row: the first row of full attention, with keys and
         # values from every row; the other rows' q columns get zero gradient
         rng = np.random.default_rng(35)
         qkv = self.packed(36, scale=2.0)
         mix = t64(rng.uniform(-1, 1, (self.B, 1, self.D)))
-        params = [qkv]
-        dq = dk = full_dq = None
-        if lora:
-            dq = t64(rng.uniform(-1, 1, (self.B, 1, self.D)), requires_grad=True)
-            dk = t64(rng.uniform(-1, 1, (self.B, self.N, self.D)), requires_grad=True)
-            params += [dq, dk]
-            full_dq = t64(np.concatenate([dq.data, np.zeros((self.B, self.N - 1, self.D))], axis=1))
-        out = T.attention(qkv, self.HEADS, dq, dk, queries=1)
+        out = T.attention(qkv, self.HEADS, queries=1)
         assert out.shape == (self.B, 1, self.D)
-        full = T.attention(qkv, self.HEADS, full_dq, dk).data[:, :1]
+        full = T.attention(qkv, self.HEADS).data[:, :1]
         np.testing.assert_allclose(out.data, full, rtol=0, atol=1e-12)
-        check_grads(
-            lambda: T.sum_all(T.mul(T.attention(qkv, self.HEADS, dq, dk, queries=1), mix)), params
-        )
+        check_grads(lambda: T.sum_all(T.mul(T.attention(qkv, self.HEADS, queries=1), mix)), [qkv])
         assert np.all(qkv.grad[:, 1:, :self.D] == 0.0)
 
     @pytest.mark.parametrize("queries", [0, N + 1])
@@ -220,14 +197,13 @@ def _fused_cases():
     def t(*shape, grad=True):
         return t64(rng.uniform(-2, 2, shape), requires_grad=grad)
 
-    x3, qkv = t(2, 3, 4), t(2, 5, 24)
     return [
-        ("linear", (x3, t(4, 6), t(6)), lambda x, w, b: T.linear(x, w, b)),
-        ("attention", (qkv, t(2, 5, 8), t(2, 5, 8)), lambda a, dq, dk: T.attention(a, 2, dq, dk)),
+        ("linear", (t(2, 3, 4), t(4, 6), t(6)), lambda x, w, b: T.linear(x, w, b)),
+        ("attention", (t(2, 5, 24),), lambda a: T.attention(a, 2)),
         ("gelu", (t(3, 7),), T.gelu),
         ("layer_norm", (t(2, 3, 6), t(6), t(6)), T.layer_norm),
-        ("attention_queries", (t(2, 5, 24), t(2, 2, 8), t(2, 5, 8)),
-         lambda a, dq, dk: T.attention(a, 2, dq, dk, queries=2)),
+        ("attention_queries", (t(2, 5, 24),), lambda a: T.attention(a, 2, queries=2)),
+        ("mlp", (t(2, 3, 4), t(4, 6), t(6), t(6, 5), t(5)), T.mlp),
     ]
 
 
@@ -260,6 +236,57 @@ class TestInPlaceSafety:
             return T.sum_all(T.mul(T.add(forward(*inputs), branch), mix))
 
         check_grads(loss_fn, [skip, *inputs])
+
+
+def unfused_mlp(x, w1, b1, w2, b2):
+    return T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
+
+
+class TestMlp:
+    @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen_weights"])
+    def test_gradients_over_ragged_blocks(self, monkeypatch, frozen):
+        # 10 rows in blocks of 3: the last block holds one row
+        monkeypatch.setattr(T, "MLP_ROWS", 3)
+        rng = np.random.default_rng(50)
+        x = t64(rng.uniform(-2, 2, (2, 5, 4)), requires_grad=True)
+        weights = [
+            t64(rng.uniform(-1, 1, shape), requires_grad=not frozen)
+            for shape in ((4, 6), (6,), (6, 3), (3,))
+        ]
+        mix = t64(rng.uniform(-1, 1, (2, 5, 3)))
+        params = [x] if frozen else [x, *weights]
+        check_grads(lambda: T.sum_all(T.mul(T.mlp(x, *weights), mix)), params)
+        fused = [p.grad.copy() for p in params]
+        for p in params:
+            p.zero_grad()
+        T.backward(T.sum_all(T.mul(unfused_mlp(x, *weights), mix)))
+        for p, grad in zip(params, fused):
+            np.testing.assert_allclose(grad, p.grad, rtol=0, atol=1e-12)
+        assert all((w.grad is None) == frozen for w in weights)
+
+    def test_float32_matches_unfused_ops(self):
+        rng = np.random.default_rng(51)
+        x = T.Tensor(rng.standard_normal((200, 17, 64)).astype(np.float32))
+        w1 = T.Tensor(rng.normal(0.0, 0.1, (64, 256)).astype(np.float32))
+        b1 = T.Tensor(rng.normal(0.0, 0.1, 256).astype(np.float32))
+        w2 = T.Tensor(rng.normal(0.0, 0.1, (256, 64)).astype(np.float32))
+        b2 = T.Tensor(rng.normal(0.0, 0.1, 64).astype(np.float32))
+        out = T.mlp(x, w1, b1, w2, b2)
+        assert out.shape == (200, 17, 64) and out.dtype == np.float32
+        np.testing.assert_allclose(out.data, unfused_mlp(x, w1, b1, w2, b2).data, rtol=1e-6)
+
+    def test_no_grad_records_nothing(self):
+        rng = np.random.default_rng(52)
+        shapes = ((3, 4), (4, 6), (6,), (6, 2), (2,))
+        args = [t64(rng.uniform(-1, 1, s), requires_grad=True) for s in shapes]
+        with T.no_grad():
+            out = T.mlp(*args)
+        assert not out.requires_grad and out._parents == () and out._backward is None
+
+    def test_shape_mismatch_names_all_shapes(self):
+        x, w1, b1, w2, b2 = (T.Tensor(np.zeros(s)) for s in ((3, 4), (4, 6), 6, (5, 2), 2))
+        with pytest.raises(T.GradientError, match=r"\(3, 4\).*\(4, 6\).*\(5, 2\)"):
+            T.mlp(x, w1, b1, w2, b2)
 
 
 class TestLayerNorm:
@@ -424,10 +451,15 @@ class TestValidationMode:
     def test_nan_detection_toggle(self):
         x = T.Tensor([1.0, -1.0])
         bad = T.Tensor([np.inf, 1.0])
-        T.set_debug_validation(True)
-        try:
+        with T.debug_validation():
             with pytest.raises(T.GradientError):
                 T.add(x, bad)
-        finally:
-            T.set_debug_validation(False)
+            with T.debug_validation(False):
+                T.add(x, bad)  # an inner block can switch it off
+            with pytest.raises(T.GradientError):
+                T.add(x, bad)
         T.add(x, bad)  # silent when disabled
+        with pytest.raises(RuntimeError):  # the flag comes back on an exception too
+            with T.debug_validation():
+                raise RuntimeError("inside debug_validation")
+        T.add(x, bad)
