@@ -180,20 +180,21 @@ def msa_forward(
     return T.linear(out, weights[p + "wo"], weights[p + "bo"])
 
 
-def block_forward(
+def block_trunk(
     x: Tensor,
     layer: int,
     weights: dict[str, Tensor],
     cfg: BackboneConfig,
     prompts: PromptContext,
     n_prompts: int,
-) -> tuple[Tensor, int]:
-    """One transformer block: prompt-token injection, attention with LoRA,
-    then MLP with the adapter on its output inside the residual branch.
-    Returns the hidden states and the number of prompt rows they hold. The
-    final block (``layer == cfg.num_layers - 1``) returns the class row only,
-    ``([B, 1, D], 0)``: keys and values still see every row, but nothing
-    downstream reads the other rows' outputs."""
+) -> tuple[Tensor, Tensor, int]:
+    """The part of a block the adapter does not touch: prompt-token
+    injection, ln1, attention with LoRA, the attention residual, ln2 and the
+    MLP. Returns ``(x, mlp_out, n_prompts)``: the hidden states after the
+    attention residual, the MLP output and the number of prompt rows. It
+    reads only the context's VPT and LoRA at ``layer``, so configs that
+    differ there only in the adapter share one trunk. The final block's
+    outputs hold the class row only (``[B, 1, D]``, 0 prompt rows)."""
     if not 0 <= layer < cfg.num_layers:
         raise ModelError(f"layer {layer} outside [0, {cfg.num_layers})")
     x, n_prompts = inject_prompts(x, prompts.vpt_at(layer), n_prompts)
@@ -213,18 +214,42 @@ def block_forward(
         weights[p + "mlp.w2"],
         weights[p + "mlp.b2"],
     )
+    return x, mlp_out, n_prompts
+
+
+def block_finish(x: Tensor, mlp_out: Tensor, layer: int, prompts: PromptContext) -> Tensor:
+    """The rest of the block after ``block_trunk``: the context's adapter at
+    ``layer`` on the MLP output, inside the residual branch, then the
+    residual add."""
     adapter = prompts.adapter_at(layer)
-    if adapter is not None:
-        w_down, b_down, w_up, b_up, r = adapter
-        delta = adapter_bottleneck(mlp_out, w_down, b_down, w_up, b_up, r)
-        # Both adapter readings coincide at this attachment point: a skipless
-        # bottleneck adding its output to the branch, and a bottleneck with an
-        # internal residual whose output replaces the branch, assemble the
-        # same sum mlp_out + delta.
-        branch = T.add(mlp_out, delta)
-    else:
-        branch = mlp_out
-    return T.add(x, branch), n_prompts
+    if adapter is None:
+        return T.add(x, mlp_out)
+    w_down, b_down, w_up, b_up, r = adapter
+    delta = adapter_bottleneck(mlp_out, w_down, b_down, w_up, b_up, r)
+    # Both adapter readings coincide at this attachment point: a skipless
+    # bottleneck adding its output to the branch, and a bottleneck with an
+    # internal residual whose output replaces the branch, assemble the same
+    # sum mlp_out + delta.
+    return T.add(x, T.add(mlp_out, delta))
+
+
+def block_forward(
+    x: Tensor,
+    layer: int,
+    weights: dict[str, Tensor],
+    cfg: BackboneConfig,
+    prompts: PromptContext,
+    n_prompts: int,
+) -> tuple[Tensor, int]:
+    """One transformer block, ``block_trunk`` then ``block_finish``:
+    prompt-token injection, attention with LoRA, then MLP with the adapter on
+    its output inside the residual branch. Returns the hidden states and the
+    number of prompt rows they hold. The final block
+    (``layer == cfg.num_layers - 1``) returns the class row only,
+    ``([B, 1, D], 0)``: keys and values still see every row, but nothing
+    downstream reads the other rows' outputs."""
+    x, mlp_out, n_prompts = block_trunk(x, layer, weights, cfg, prompts, n_prompts)
+    return block_finish(x, mlp_out, layer, prompts), n_prompts
 
 
 def embed(weights: dict[str, Tensor], cfg: BackboneConfig, images: np.ndarray) -> Tensor:

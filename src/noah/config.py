@@ -15,7 +15,7 @@ from pathlib import Path
 from .checkpoint import atomic_write
 from .evolution import EvolutionSchedule
 from .optim import OptimHyper
-from .space import MODULES
+from .space import MODULES, SearchSpaceSpec, SpaceError
 
 
 class ConfigError(ValueError):
@@ -80,7 +80,6 @@ class EvolutionSection:
     per_gen_crossover: int = 50
     per_gen_mutation: int = 50
     mutation_prob: float = 0.2
-    mutation_scope: str = "gene"
 
     def to_schedule(self) -> EvolutionSchedule:
         return EvolutionSchedule(**dataclasses.asdict(self))
@@ -171,14 +170,19 @@ def _validate(run: RunConfig) -> None:
             f"backbone.embed_dim {bb.embed_dim} not divisible by num_heads {bb.num_heads}"
         )
     sp = run.search_space
-    if not sp.depth_choices or max(sp.depth_choices) > bb.num_layers:
-        raise ConfigError(
-            f"search_space.depth_choices {sp.depth_choices} exceed {bb.num_layers} layers"
-        )
     if isinstance(sp.dim_choices, list):
         sp.dim_choices = {m: list(sp.dim_choices) for m in MODULES}
-    if set(sp.dim_choices) != set(MODULES):
+    if not isinstance(sp.dim_choices, dict) or set(sp.dim_choices) != set(MODULES):
         raise ConfigError(f"search_space.dim_choices must cover {MODULES}")
+    try:  # the checks the search stage's spec would make, before any training
+        SearchSpaceSpec(
+            num_layers=bb.num_layers,
+            depth_choices=tuple(sp.depth_choices),
+            dim_choices={m: tuple(v) for m, v in sp.dim_choices.items()},
+            budget=sp.budget or 0,
+        )
+    except (SpaceError, TypeError) as exc:
+        raise ConfigError(f"search_space: {exc}") from exc
     if sp.budget is None and not 0 < sp.budget_fraction <= 1:
         raise ConfigError("search_space.budget_fraction outside (0, 1]")
     for section in (run.supernet_hyper, run.subnet_hyper):

@@ -51,7 +51,6 @@ class EvolutionSchedule:
     per_gen_crossover: int = 50
     per_gen_mutation: int = 50
     mutation_prob: float = 0.2
-    mutation_scope: str = "gene"
     max_tries: int = 100
 
     def __post_init__(self):
@@ -213,7 +212,7 @@ def evolve(
         for _ in range(schedule.per_gen_mutation):
             def mut():
                 parent = parents[int(rng.integers(len(parents)))]
-                return mutate(parent, spec, schedule.mutation_prob, rng, schedule.mutation_scope)
+                return mutate(parent, spec, schedule.mutation_prob, rng)
             batch.append(("mutation", produce(mut)))
         for _ in range(schedule.per_gen_random):
             batch.append(("random", sample_under_budget()))

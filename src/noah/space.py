@@ -309,22 +309,11 @@ def mutate(
     spec: SearchSpaceSpec,
     p: float,
     rng: np.random.Generator,
-    scope: str = "gene",
 ) -> SubnetConfig:
-    """Resample genes with probability ``p``.
-
-    scope="gene": each gene independently (depth genes from the depth choices,
-    per-layer dims from the dim choices plus 0). scope="candidate": with
-    probability ``p`` the whole candidate is resampled uniformly.
-    """
+    """Resample each gene independently with probability ``p``: depth genes
+    from the depth choices, per-layer dims from the dim choices plus 0."""
     if not 0.0 <= p <= 1.0:
         raise SpaceError(f"mutation probability {p} outside [0, 1]")
-    if scope == "candidate":
-        if rng.random() < p:
-            return sample_uniform(spec, rng)
-        return config
-    if scope != "gene":
-        raise SpaceError(f"unknown mutation scope {scope!r}")
     genes = {}
     for m in MODULES:
         g = config.gene(m)

@@ -12,9 +12,13 @@ retrained or baseline subnet is the same type again, trained by the same
 Evaluation scores a whole list of subnets at once. The hidden state entering
 layer l depends only on the embedding and on the per-layer genes of layers
 < l, so ``evaluate`` walks the configs depth-first over their per-layer
-(adapter, lora, vpt) dims and runs each distinct layer prefix once. Blocks
-always run on one prefix's state alone, never batched across candidates, so
-every accuracy is bit-identical to a whole ``model_forward`` of that config;
+(adapter, lora, vpt) dims and runs each distinct layer prefix once. Within a
+layer the adapter is the last gene read: it sits on the MLP output, after
+VPT injection, attention and the MLP. So the walk runs one
+``block_trunk`` per distinct (lora, vpt) pair at that layer, then one
+``block_finish`` per adapter dim on that trunk's outputs. Blocks always run
+on one prefix's state alone, never batched across candidates, so every
+accuracy is bit-identical to a whole ``model_forward`` of that config;
 scoring a single config is ``evaluate(model, images, labels, [config])[0]``.
 The walk's last level is the final block, which runs on the class row only
 (see ``backbone``). Candidates rarely share it, because it sits below every
@@ -35,7 +39,7 @@ from . import tensor as T
 from .backbone import BackboneConfig, model_forward
 from .optim import AdamW, OptimHyper, TrainingDivergedError, batch_slices, full_region, run_training
 from .prompts import PromptContext, bank_regions, init_prompt_banks, init_subnet_tensors
-from .space import MODULES, SearchSpaceSpec, SubnetConfig
+from .space import SearchSpaceSpec, SubnetConfig
 from .tensor import Tensor
 
 HEAD_NAMES = ("head.w", "head.b")
@@ -140,44 +144,49 @@ def evaluate(
 ) -> list[float]:
     """Deterministic top-1 accuracy of each config, in order; no gradients.
     Each batch slice is embedded once, then the blocks run along the
-    shared-prefix walk, keeping only the current path's hidden states alive.
+    shared-prefix walk, keeping only the current path's hidden states alive:
+    per layer, one ``block_trunk`` per distinct (lora, vpt) dims among the
+    prefix's configs, then one ``block_finish`` per adapter dim among those.
     Every accuracy equals that of a whole ``model.forward`` per batch slice,
-    bit for bit. ``counts["block_forwards"]``, when given, grows by the
-    number of blocks run."""
+    bit for bit. ``counts``, when given, grows by the number of blocks run
+    (``"block_forwards"``, one per distinct full layer prefix) and of trunks
+    run (``"block_trunks"``)."""
     n = len(labels)
     if n == 0:
         raise ValueError("cannot evaluate on an empty split")
     contexts = [model.context(c) for c in configs]
     correct = [0] * len(configs)
-    blocks = 0
+    trunks = blocks = 0
 
     def walk(layer: int, members: list[int], x: Tensor, n_prompts: int, y: np.ndarray):
-        nonlocal blocks
+        nonlocal trunks, blocks
         if layer == model.cfg.num_layers:
             hits = int((B.readout(model.weights, model.cfg, x).data.argmax(axis=1) == y).sum())
             for i in members:
                 correct[i] += hits
             return
-        groups: dict[tuple[int, ...], list[int]] = {}
+        trunk_groups: dict[tuple[int, int], dict[int, list[int]]] = {}
         for i in members:
-            key = tuple(configs[i].active_dim(m, layer) for m in MODULES)
-            groups.setdefault(key, []).append(i)
-        for group in groups.values():
-            blocks += 1
-            walk(
-                layer + 1,
-                group,
-                *B.block_forward(
-                    x, layer, model.weights, model.cfg, contexts[group[0]], n_prompts
-                ),
-                y,
+            key = (configs[i].active_dim("lora", layer), configs[i].active_dim("vpt", layer))
+            adapter = configs[i].active_dim("adapter", layer)
+            trunk_groups.setdefault(key, {}).setdefault(adapter, []).append(i)
+        for by_adapter in trunk_groups.values():
+            trunks += 1
+            groups = list(by_adapter.values())
+            x_attn, mlp_out, n_out = B.block_trunk(
+                x, layer, model.weights, model.cfg, contexts[groups[0][0]], n_prompts
             )
+            for group in groups:
+                blocks += 1
+                out = B.block_finish(x_attn, mlp_out, layer, contexts[group[0]])
+                walk(layer + 1, group, out, n_out, y)
 
     with T.no_grad():
         for lo, hi in batch_slices(n, batch_size):
             x = B.embed(model.weights, model.cfg, images[lo:hi])
             walk(0, list(range(len(configs))), x, 0, labels[lo:hi])
     if counts is not None:
+        counts["block_trunks"] = counts.get("block_trunks", 0) + trunks
         counts["block_forwards"] = counts.get("block_forwards", 0) + blocks
     return [c / n for c in correct]
 

@@ -38,6 +38,7 @@ class TestConfig:
         "section, key",
         [
             ("evolution", "workers"),
+            ("evolution", "mutation_scope"),
             ("runtime", "adapter_skip"),
             ("runtime", "lora_scale"),
             ("runtime", "decay_vpt"),
@@ -47,6 +48,24 @@ class TestConfig:
         """Keys of removed features fail up front, not silently."""
         doc = {section: {**TINY.get(section, {}), key: 4}}
         with pytest.raises(ConfigError, match=rf"{section}: unknown keys \['{key}'\]"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "values, cause",
+        [
+            ({"depth_choices": [0, 1]}, "depth choices must be positive"),
+            ({"depth_choices": [1, 3]}, r"depth choices \(1, 3\) exceed num_layers 2"),
+            ({"dim_choices": [0, 1]}, "dim choices for adapter must be positive"),
+            ({"dim_choices": []}, "missing dim choices for adapter"),
+            ({"dim_choices": {"adapter": [1], "lora": [], "vpt": [1]}},
+             "missing dim choices for lora"),
+        ],
+    )
+    def test_bad_search_space_rejected_at_load(self, values, cause):
+        """Search-space choices fail when the config loads, before pretraining."""
+        doc = copy.deepcopy(TINY)
+        doc["search_space"].update(values)
+        with pytest.raises(ConfigError, match=rf"^search_space: {cause}"):
             config_from_dict(doc)
 
 
@@ -167,20 +186,22 @@ class TestSearch:
         run, dataset = tiny_run()
         sn, _ = P.train_supernet_stage(run, dataset)
         calls = []
-        block_forward = B.block_forward
+        block_trunk = B.block_trunk
 
         def counting(*args, **kwargs):
             calls.append(args[1])
-            return block_forward(*args, **kwargs)
+            return block_trunk(*args, **kwargs)
 
-        monkeypatch.setattr(B, "block_forward", counting)
+        monkeypatch.setattr(B, "block_trunk", counting)
         _, trace = P.evolve_stage(run, sn, dataset)
-        assert sum(g["block_forwards"] for g in trace.generations) == len(calls)
+        assert sum(g["block_trunks"] for g in trace.generations) == len(calls)
         for g in trace.generations:
             assert g["fresh"] + g["cache_hits"] == len(g["candidates"])
             # at most one block per layer per fresh config; the val split is one batch slice
             assert g["block_forwards"] <= g["fresh"] * run.backbone.num_layers
             assert (g["block_forwards"] > 0) == (g["fresh"] > 0)
+            assert g["block_trunks"] <= g["block_forwards"]
+            assert (g["block_trunks"] > 0) == (g["fresh"] > 0)
 
 
 def nan_checks_on() -> bool:

@@ -276,14 +276,6 @@ class TestMutate:
         four_sigma = 4.0 * np.sqrt(expected * (1 - expected) / total)
         assert abs(changed / total - expected) < four_sigma
 
-    def test_candidate_scope(self):
-        spec = desk_spec()
-        rng = np.random.default_rng(14)
-        cfg = S.sample_uniform(spec, rng)
-        assert S.mutate(cfg, spec, 0.0, rng, scope="candidate") == cfg
-        out = S.mutate(cfg, spec, 1.0, rng, scope="candidate")
-        assert S.validate(out, spec) == []
-
 
 # ---------------------------------------------------------------------------
 # encoding round trips

@@ -169,21 +169,26 @@ class TestEvaluate:
                         [SubnetConfig.empty(2)])
 
 
+def dims_config(adapter, lora, vpt):
+    """A config from per-layer dims; each depth reaches the last nonzero dim."""
+    genes = [
+        ModuleGene(max((j + 1 for j, d in enumerate(dims) if d), default=0), dims)
+        for dims in (adapter, lora, vpt)
+    ]
+    return SubnetConfig(*genes)
+
+
 def walk_configs():
     """Two-layer configs covering the shapes of the shared-prefix walk."""
-    def config(adapter, lora, vpt):
-        genes = [ModuleGene(sum(1 for d in dims if d), dims) for dims in (adapter, lora, vpt)]
-        return SubnetConfig(*genes)
-
     return [
-        config((2, 4), (1, 0), (2, 0)),
-        config((2, 1), (1, 0), (2, 0)),  # shares layer 0 with the first
-        config((2, 4), (1, 0), (2, 0)),  # duplicate of the first
-        config((2, 4), (1, 0), (2, 4)),  # deeper VPT: prompts carried into layer 1
-        config((2, 4), (1, 0), (2, 1)),  # same depth, fewer layer-1 prompt rows
-        config((4, 4), (2, 2), (4, 4)),  # nothing shared
-        config((0, 0), (0, 0), (0, 0)),  # empty subnet
-        config((0, 0), (0, 0), (1, 0)),  # VPT only
+        dims_config((2, 4), (1, 0), (2, 0)),
+        dims_config((2, 1), (1, 0), (2, 0)),  # shares layer 0 with the first
+        dims_config((2, 4), (1, 0), (2, 0)),  # duplicate of the first
+        dims_config((2, 4), (1, 0), (2, 4)),  # deeper VPT: prompts carried into layer 1
+        dims_config((2, 4), (1, 0), (2, 1)),  # same depth, fewer layer-1 prompt rows
+        dims_config((4, 4), (2, 2), (4, 4)),  # nothing shared
+        dims_config((0, 0), (0, 0), (0, 0)),  # empty subnet
+        dims_config((0, 0), (0, 0), (1, 0)),  # VPT only
     ]
 
 
@@ -195,6 +200,27 @@ def labels_for(sn, images, config):
         logits = sn.forward(images, config).data
         sn.weights["head.b"].data[...] -= logits.mean(axis=0)
         return sn.forward(images, config).data.argmax(axis=1)
+
+
+SLICE = 16  # evaluation batch size: 37 samples make two full slices and a ragged one
+
+
+def whole_forward_accuracies(sn, images, labels, configs):
+    """Accuracy of each config from a whole ``sn.forward`` per batch slice."""
+    expected = []
+    with T.no_grad():
+        for c in configs:
+            correct = 0
+            for lo, hi in batch_slices(len(labels), SLICE):
+                logits = sn.forward(images[lo:hi], c).data
+                correct += int((logits.argmax(axis=1) == labels[lo:hi]).sum())
+            expected.append(correct / len(labels))
+    return expected
+
+
+def active(c, layers):
+    """Active dims of every module over the first ``layers`` layers."""
+    return tuple(c.active_dim(m, j) for j in range(layers) for m in MODULES)
 
 
 class TestSharedWalk:
@@ -212,26 +238,40 @@ class TestSharedWalk:
         configs = walk_configs()
         images, _ = rand_data(cfg, 37, seed=33)
         labels = labels_for(sn, images, configs[0])
-        batch_size = 16  # 37 samples: two full slices and a ragged one
-        expected = []
-        with T.no_grad():
-            for c in configs:
-                correct = 0
-                for lo, hi in batch_slices(len(labels), batch_size):
-                    logits = sn.forward(images[lo:hi], c).data
-                    correct += int((logits.argmax(axis=1) == labels[lo:hi]).sum())
-                expected.append(correct / len(labels))
+        expected = whole_forward_accuracies(sn, images, labels, configs)
         assert len(set(expected)) > 2
 
         counts = {}
-        got = SN.evaluate(sn, images, labels, configs, batch_size=batch_size, counts=counts)
+        got = SN.evaluate(sn, images, labels, configs, batch_size=SLICE, counts=counts)
         assert got == expected
-
-        def active(c, layers):
-            return tuple(c.active_dim(m, j) for j in range(layers) for m in MODULES)
-
         prefixes = sum(len({active(c, layer + 1) for c in configs}) for layer in range(2))
         assert counts["block_forwards"] == 3 * prefixes
+
+    def test_adapter_variants_share_one_trunk(self):
+        cfg, spec, sn, _ = randomized_setup(seed=36)
+        lora, vpt = (1, 2), (2, 1)
+        configs = [
+            dims_config(adapter, lora, vpt)
+            for adapter in (
+                (2, 4), (4, 4), (1, 4), (0, 4),  # differ at layer 0 only
+                (2, 1), (2, 2), (2, 0),  # differ from the first at layer 1 only
+            )
+        ]
+        images, _ = rand_data(cfg, 37, seed=37)
+        labels = labels_for(sn, images, configs[0])
+        expected = whole_forward_accuracies(sn, images, labels, configs)
+        assert len(set(expected)) > 2
+
+        counts = {}
+        got = SN.evaluate(sn, images, labels, configs, batch_size=SLICE, counts=counts)
+        assert got == expected
+        trunk_keys = sum(
+            len({(active(c, layer), c.active_dim("lora", layer), c.active_dim("vpt", layer))
+                 for c in configs})
+            for layer in range(2)
+        )
+        assert counts["block_trunks"] == 3 * trunk_keys == 3 * (1 + 4)
+        assert counts["block_trunks"] < counts["block_forwards"] == 3 * (4 + 7)
 
     def test_grad_mode_restored(self):
         cfg, spec, sn, _ = randomized_setup(seed=34)
