@@ -2,23 +2,24 @@
 
 Pre-norm blocks, GELU MLP, and a final encoder norm (standard ViT layout; the
 method itself does not constrain these). Per block, prompt modules attach at
-fixed points: VPT tokens at the block input, LoRA merged into the query/key
-projection weights (W + BA, formed before the QKV GEMM, so the low-rank path
-adds no per-row work), and the adapter bottleneck on the MLP output inside
-the residual branch.
+fixed points: VPT tokens appended to the block's attention input, LoRA merged
+into the query/key projection weights (W + BA, formed before the QKV GEMM, so
+the low-rank path adds no per-row work), and the adapter bottleneck on the
+MLP output inside the residual branch.
 
-The final block computes only what the readout reads. The classifier sees
-the class token alone, and no later block attends to the other rows, so the
-final block takes keys and values from every row (after injecting its VPT
-tokens) but queries with the class row only: attention, output projection,
-residual, ln2, MLP and adapter run on that one row. Its
-output is [B, 1, D]. Every block before it keeps all rows, because the next
-block's keys and values need them.
+Each block queries only with the rows the next stage reads. The layer's VPT
+tokens are appended after the class and patch rows, and serve as keys and
+values of that block's attention alone (VPT-Deep: every layer gets fresh
+prompts, and no later stage reads the outputs at prompt positions). So the
+query side (attention queries, output projection, residual, ln2, MLP and
+adapter) runs on the class and patch rows, and no block output carries prompt
+rows. The final block goes further: the classifier reads the class token
+alone, so that block queries with the class row only, and its output is
+[B, 1, D].
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,19 +131,6 @@ def freeze_backbone(weights: dict[str, Tensor]) -> None:
             t.requires_grad = False
 
 
-def backbone_hash(weights: dict[str, Tensor]) -> str:
-    """SHA-256 over all frozen-contract tensors (head excluded), name-sorted."""
-    h = hashlib.sha256()
-    for name in sorted(weights):
-        if not name.startswith(BACKBONE_PREFIX):
-            continue
-        t = weights[name]
-        h.update(name.encode())
-        h.update(np.asarray(t.shape, np.int64).tobytes())
-        h.update(np.ascontiguousarray(t.data).tobytes())
-    return h.hexdigest()
-
-
 def patchify(images: np.ndarray, cfg: BackboneConfig) -> np.ndarray:
     """[B, C, H, W] float array -> [B, num_patches, C*p*p] patch rows."""
     b, c, h, w = images.shape
@@ -160,14 +148,15 @@ def msa_forward(
     layer: int,
     cfg: BackboneConfig,
     prompts: PromptContext,
+    queries: int,
 ) -> Tensor:
     """softmax(q kT / sqrt(head_dim)) v per head, heads merged, projected.
     One projection onto the concatenated q/k/v weights. An active LoRA is
     merged into the q and k weights first (``wq + w_down @ w_up`` at rank r,
-    and the k twin), so every row goes through the one QKV GEMM. At the
-    final layer only the class row queries: the output is [B, 1, D]."""
+    and the k twin), so every row goes through the one QKV GEMM. Only the
+    first ``queries`` rows of ``xn`` query; keys and values come from every
+    row. The output is [B, queries, D]."""
     p = f"backbone.L{layer}.attn."
-    queries = 1 if layer == cfg.num_layers - 1 else None
     wq, wk = weights[p + "wq"], weights[p + "wk"]
     lora = prompts.lora_at(layer)
     if lora is not None:
@@ -186,24 +175,29 @@ def block_trunk(
     weights: dict[str, Tensor],
     cfg: BackboneConfig,
     prompts: PromptContext,
-    n_prompts: int,
-) -> tuple[Tensor, Tensor, int]:
+) -> tuple[Tensor, Tensor]:
     """The part of a block the adapter does not touch: prompt-token
     injection, ln1, attention with LoRA, the attention residual, ln2 and the
-    MLP. Returns ``(x, mlp_out, n_prompts)``: the hidden states after the
-    attention residual, the MLP output and the number of prompt rows. It
-    reads only the context's VPT and LoRA at ``layer``, so configs that
-    differ there only in the adapter share one trunk. The final block's
-    outputs hold the class row only (``[B, 1, D]``, 0 prompt rows)."""
+    MLP. Returns ``(x, mlp_out)``: the hidden states after the attention
+    residual and the MLP output. ln1 and the QKV projection run over ``x``
+    with the layer's prompt rows appended, but only the rows the next stage
+    reads query: all of ``x``'s rows, or the class row at the final block.
+    Everything after attention runs on those rows alone, so the outputs are
+    shaped like ``x`` (``[B, 1, D]`` at the final block) and never carry
+    prompt rows. It reads only the context's VPT and LoRA at ``layer``, so
+    configs that differ there only in the adapter share one trunk."""
     if not 0 <= layer < cfg.num_layers:
         raise ModelError(f"layer {layer} outside [0, {cfg.num_layers})")
-    x, n_prompts = inject_prompts(x, prompts.vpt_at(layer), n_prompts)
+    final = layer == cfg.num_layers - 1
+    queries = 1 if final else x.shape[1]
 
     p = f"backbone.L{layer}."
-    xn = T.layer_norm(x, weights[p + "ln1.gamma"], weights[p + "ln1.beta"])
-    attn = msa_forward(xn, weights, layer, cfg, prompts)
-    if layer == cfg.num_layers - 1:
-        x, n_prompts = T.slice_axis(x, 1, 0, 1), 0
+    xn = T.layer_norm(
+        inject_prompts(x, prompts.vpt_at(layer)), weights[p + "ln1.gamma"], weights[p + "ln1.beta"]
+    )
+    attn = msa_forward(xn, weights, layer, cfg, prompts, queries)
+    if final:
+        x = T.slice_axis(x, 1, 0, 1)
     x = T.add(x, attn)
 
     un = T.layer_norm(x, weights[p + "ln2.gamma"], weights[p + "ln2.beta"])
@@ -214,7 +208,7 @@ def block_trunk(
         weights[p + "mlp.w2"],
         weights[p + "mlp.b2"],
     )
-    return x, mlp_out, n_prompts
+    return x, mlp_out
 
 
 def block_finish(x: Tensor, mlp_out: Tensor, layer: int, prompts: PromptContext) -> Tensor:
@@ -239,17 +233,15 @@ def block_forward(
     weights: dict[str, Tensor],
     cfg: BackboneConfig,
     prompts: PromptContext,
-    n_prompts: int,
-) -> tuple[Tensor, int]:
+) -> Tensor:
     """One transformer block, ``block_trunk`` then ``block_finish``:
     prompt-token injection, attention with LoRA, then MLP with the adapter on
-    its output inside the residual branch. Returns the hidden states and the
-    number of prompt rows they hold. The final block
-    (``layer == cfg.num_layers - 1``) returns the class row only,
-    ``([B, 1, D], 0)``: keys and values still see every row, but nothing
-    downstream reads the other rows' outputs."""
-    x, mlp_out, n_prompts = block_trunk(x, layer, weights, cfg, prompts, n_prompts)
-    return block_finish(x, mlp_out, layer, prompts), n_prompts
+    its output inside the residual branch. The output has ``x``'s rows; the
+    final block (``layer == cfg.num_layers - 1``) returns the class row
+    only, [B, 1, D]. Prompt rows are keys and values only and never reach
+    the output."""
+    x, mlp_out = block_trunk(x, layer, weights, cfg, prompts)
+    return block_finish(x, mlp_out, layer, prompts)
 
 
 def embed(weights: dict[str, Tensor], cfg: BackboneConfig, images: np.ndarray) -> Tensor:
@@ -284,9 +276,8 @@ def model_forward(
     if prompts is None:
         prompts = PromptContext({}, SubnetConfig.empty(cfg.num_layers))
     x = embed(weights, cfg, images)
-    n_prompts = 0
     for i in range(cfg.num_layers):
-        x, n_prompts = block_forward(x, i, weights, cfg, prompts, n_prompts)
+        x = block_forward(x, i, weights, cfg, prompts)
     return readout(weights, cfg, x)
 
 

@@ -253,7 +253,7 @@ def report(trace: SearchTrace, top_k: int = 10) -> tuple[str, dict]:
 
     summary = {
         "best": final,
-        "best_document": json.loads(best.to_text()),
+        "best_document": best.to_dict(),
         "fitness_curve": trace.best_so_far_curve(),
         "evaluations_per_generation": [len(g["candidates"]) for g in trace.generations],
         "top_k": [enc for enc, _ in ranked[:top_k]],

@@ -21,6 +21,7 @@ from .config import ConfigError, RunConfig
 from .data import Dataset, gen_mixed_base_task
 from .evolution import SearchTrace, evolve
 from .optim import OptimHyper
+from .prompts import bank_regions
 from .supernet import (
     PromptedModel,
     build_supernet,
@@ -255,6 +256,21 @@ def _check_shapes(weights: dict[str, Tensor], cfg: BackboneConfig) -> None:
         )
 
 
+def _check_config_fits(weights: dict[str, Tensor], config: S.SubnetConfig) -> None:
+    """Every prompt-tensor region ``config`` reads must be stored, at least
+    that large."""
+    for name, region in bank_regions(config).items():
+        t = weights.get(name)
+        if t is None:
+            raise ConfigError(f"config {config.encode()} reads {name}, which the checkpoint lacks")
+        needed = tuple(size if s.stop is None else s.stop for s, size in zip(region, t.shape))
+        if any(n > size for n, size in zip(needed, t.shape)):
+            raise ConfigError(
+                f"config {config.encode()} reads {name} at {needed}, "
+                f"the checkpoint stores {t.shape}"
+            )
+
+
 def evaluate_checkpoint(
     path, config: S.SubnetConfig, run: RunConfig, dataset: Dataset, split: str
 ) -> float:
@@ -264,8 +280,10 @@ def evaluate_checkpoint(
     whatever prompt-tensor sizes are stored. It runs the same ``evaluate``
     as the search and the retrain log, so it returns exactly the searched
     fitness of a supernet checkpoint and the last logged ``val_acc`` of a
-    retrained one."""
+    retrained one. A config that reads a prompt tensor the checkpoint lacks,
+    or reads past its stored size, raises ``ConfigError``."""
     model = supernet_from_checkpoint(path, run, dataset)
+    _check_config_fits(model.weights, config)
     images, labels = dataset.normalized(split)
     with debug_validation(run.runtime.debug_validation):
         return evaluate(model, images, labels, [config])[0]

@@ -127,24 +127,19 @@ def lora_delta(w_down: Tensor, w_up: Tensor, r: int) -> Tensor:
     return T.linear(wd, wu)
 
 
-def inject_prompts(x: Tensor, prompt_rows: Tensor | None, current: int) -> tuple[Tensor, int]:
-    """Place prompt tokens directly after position 0, replacing any ``current``
-    prompt rows already present. Sequence order is [class token, prompts,
-    patch embeddings]; prompt rows never receive positional embeddings.
+def inject_prompts(x: Tensor, prompt_rows: Tensor | None) -> Tensor:
+    """Append one layer's prompt tokens after the rows of ``x``: sequence
+    order [class token, patch embeddings, prompts]. Prompt rows never
+    receive positional embeddings. They serve as keys and values of their
+    own block's attention only, so the block queries with the leading rows
+    and no block output carries prompts. With no prompts, ``x`` itself.
     """
-    n = x.shape[1]
     if prompt_rows is None:
-        if current == 0:
-            return x, 0
-        cls = T.slice_axis(x, 1, 0, 1)
-        rest = T.slice_axis(x, 1, 1 + current, n)
-        return T.concat([cls, rest], axis=1), 0
+        return x
     m, d = prompt_rows.shape
     batch = x.shape[0]
     rows = T.expand(T.reshape(prompt_rows, (1, m, d)), (batch, m, d))
-    cls = T.slice_axis(x, 1, 0, 1)
-    rest = T.slice_axis(x, 1, 1 + current, n)
-    return T.concat([cls, rows, rest], axis=1), m
+    return T.concat([x, rows], axis=1)
 
 
 class PromptContext:

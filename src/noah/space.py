@@ -9,7 +9,6 @@ a module can vanish from individual layers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,30 +66,14 @@ class SubnetConfig:
             genes[m] = ModuleGene(depth, dims)
         return SubnetConfig(**genes)
 
-    def to_text(self) -> str:
+    def to_dict(self) -> dict:
+        """Keyed document form: the layer count and each module's depth and
+        per-layer dims, as JSON-ready values."""
         doc = {"num_layers": self.num_layers}
         for m in MODULES:
             g = self.gene(m)
             doc[m] = {"depth": g.depth, "dims": list(g.dims)}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "SubnetConfig":
-        try:
-            doc = json.loads(text)
-            num_layers = int(doc["num_layers"])
-            genes = {}
-            for m in MODULES:
-                depth = int(doc[m]["depth"])
-                dims = tuple(int(d) for d in doc[m]["dims"])
-                if len(dims) != num_layers:
-                    raise SpaceError(
-                        f"{m} dims length {len(dims)} != num_layers {num_layers}"
-                    )
-                genes[m] = ModuleGene(depth, dims)
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise SpaceError(f"malformed subnet document: {exc}") from exc
-        return SubnetConfig(**genes)
+        return doc
 
     @staticmethod
     def empty(num_layers: int) -> "SubnetConfig":
@@ -143,9 +126,6 @@ class SearchSpaceSpec:
                 raise SpaceError(f"dim choices for {m} must be positive (0 is implicit)")
         if self.budget < 0:
             raise SpaceError("budget must be non-negative")
-
-    def max_dim(self, module: str) -> int:
-        return max(self.dim_choices[module])
 
     def dim_gene_choices(self, module: str) -> tuple[int, ...]:
         """Per-layer gene values: the dim choices plus 0 (module absent here)."""

@@ -12,18 +12,21 @@ retrained or baseline subnet is the same type again, trained by the same
 Evaluation scores a whole list of subnets at once. The hidden state entering
 layer l depends only on the embedding and on the per-layer genes of layers
 < l, so ``evaluate`` walks the configs depth-first over their per-layer
-(adapter, lora, vpt) dims and runs each distinct layer prefix once. Within a
+(adapter, lora, vpt) dims and runs each distinct layer prefix once. The
+states passed down the walk hold the class and patch rows alone: a layer's
+VPT tokens are keys and values of its own block only and never reach its
+output (see ``backbone``), so no prompt-row count travels along. Within a
 layer the adapter is the last gene read: it sits on the MLP output, after
-VPT injection, attention and the MLP. So the walk runs one
-``block_trunk`` per distinct (lora, vpt) pair at that layer, then one
-``block_finish`` per adapter dim on that trunk's outputs. Blocks always run
-on one prefix's state alone, never batched across candidates, so every
-accuracy is bit-identical to a whole ``model_forward`` of that config;
-scoring a single config is ``evaluate(model, images, labels, [config])[0]``.
-The walk's last level is the final block, which runs on the class row only
-(see ``backbone``). Candidates rarely share it, because it sits below every
-other gene, so trimming it to the row the readout reads cuts the cost of
-almost every fresh candidate.
+VPT injection, attention and the MLP. So the walk runs one ``block_trunk``
+per distinct (lora, vpt) pair at that layer, then one ``block_finish`` per
+adapter dim on that trunk's outputs. Blocks always run on one prefix's state
+alone, never batched across candidates, so every accuracy is bit-identical
+to a whole ``model_forward`` of that config; scoring a single config is
+``evaluate(model, images, labels, [config])[0]``. The walk's last level is
+the final block, which runs on the class row only (see ``backbone``).
+Candidates rarely share it, because it sits below every other gene, so
+trimming it to the row the readout reads cuts the cost of almost every fresh
+candidate.
 """
 
 from __future__ import annotations
@@ -158,7 +161,7 @@ def evaluate(
     correct = [0] * len(configs)
     trunks = blocks = 0
 
-    def walk(layer: int, members: list[int], x: Tensor, n_prompts: int, y: np.ndarray):
+    def walk(layer: int, members: list[int], x: Tensor, y: np.ndarray):
         nonlocal trunks, blocks
         if layer == model.cfg.num_layers:
             hits = int((B.readout(model.weights, model.cfg, x).data.argmax(axis=1) == y).sum())
@@ -173,18 +176,18 @@ def evaluate(
         for by_adapter in trunk_groups.values():
             trunks += 1
             groups = list(by_adapter.values())
-            x_attn, mlp_out, n_out = B.block_trunk(
-                x, layer, model.weights, model.cfg, contexts[groups[0][0]], n_prompts
+            x_attn, mlp_out = B.block_trunk(
+                x, layer, model.weights, model.cfg, contexts[groups[0][0]]
             )
             for group in groups:
                 blocks += 1
                 out = B.block_finish(x_attn, mlp_out, layer, contexts[group[0]])
-                walk(layer + 1, group, out, n_out, y)
+                walk(layer + 1, group, out, y)
 
     with T.no_grad():
         for lo, hi in batch_slices(n, batch_size):
             x = B.embed(model.weights, model.cfg, images[lo:hi])
-            walk(0, list(range(len(configs))), x, 0, labels[lo:hi])
+            walk(0, list(range(len(configs))), x, labels[lo:hi])
     if counts is not None:
         counts["block_trunks"] = counts.get("block_trunks", 0) + trunks
         counts["block_forwards"] = counts.get("block_forwards", 0) + blocks

@@ -1,12 +1,16 @@
-"""Central finite-difference gradient oracle, independent of the tape engine.
+"""Central finite-difference gradient oracle, independent of the tape engine,
+and a hash of the frozen backbone for tests that check it stays untouched.
 
 Builds expected gradients purely from repeated forward evaluations in 64-bit
 mode, so it shares no code path with the analytic backward rules it checks.
 """
 
+import hashlib
+
 import numpy as np
 
 from noah import tensor as T
+from noah.backbone import BACKBONE_PREFIX
 
 
 def numeric_grad(loss_fn, param: T.Tensor, h: float = 1e-5) -> np.ndarray:
@@ -47,3 +51,16 @@ def check_grads(loss_fn, params, h: float = 1e-5, tol: float = 1e-4) -> float:
         worst = max(worst, err)
     assert worst < tol, f"gradient mismatch: max relative error {worst:.3e} >= {tol}"
     return worst
+
+
+def backbone_hash(weights: dict[str, T.Tensor]) -> str:
+    """SHA-256 over all frozen-contract tensors (head excluded), name-sorted."""
+    h = hashlib.sha256()
+    for name in sorted(weights):
+        if not name.startswith(BACKBONE_PREFIX):
+            continue
+        t = weights[name]
+        h.update(name.encode())
+        h.update(np.asarray(t.shape, np.int64).tobytes())
+        h.update(np.ascontiguousarray(t.data).tobytes())
+    return h.hexdigest()

@@ -7,7 +7,7 @@ from noah.prompts import PromptContext, init_prompt_banks
 from noah.space import ModuleGene, SubnetConfig
 from noah.tensor import Tensor
 
-from gradcheck import max_rel_err, numeric_grad
+from gradcheck import backbone_hash, max_rel_err, numeric_grad
 
 CFG = B.BackboneConfig()  # 4 layers, D=64, 4 heads, 16x16 images, patch 4
 
@@ -57,7 +57,7 @@ class TestMsa:
         w["backbone.L0.attn.bo"] = Tensor(np.zeros(cfg.embed_dim, np.float32))
         rng = np.random.default_rng(1)
         xn = Tensor(rng.standard_normal((1, 5, cfg.embed_dim)).astype(np.float32))
-        out = B.msa_forward(xn, w, 0, cfg, PromptContext({}, SubnetConfig.empty(2)))
+        out = B.msa_forward(xn, w, 0, cfg, PromptContext({}, SubnetConfig.empty(2)), 5)
         v = xn.data[0] @ w["backbone.L0.attn.wv"].data + w["backbone.L0.attn.bv"].data
         expected = np.repeat(v.mean(axis=0, keepdims=True), 5, axis=0)
         np.testing.assert_allclose(out.data[0], expected, atol=1e-5)
@@ -73,8 +73,8 @@ class TestMsa:
             )
         xn = Tensor(rng.standard_normal((1, 1, cfg.embed_dim)).astype(np.float32))
         ctx = PromptContext({}, SubnetConfig.empty(2))
-        out1 = B.msa_forward(xn, w1, 0, cfg, ctx)
-        out2 = B.msa_forward(xn, w2, 0, cfg, ctx)
+        out1 = B.msa_forward(xn, w1, 0, cfg, ctx, 1)
+        out2 = B.msa_forward(xn, w2, 0, cfg, ctx, 1)
         np.testing.assert_allclose(out1.data, out2.data, atol=1e-6)
 
     def test_three_token_single_head_hand_unrolled(self):
@@ -83,7 +83,7 @@ class TestMsa:
         rng = np.random.default_rng(5)
         xn_np = rng.standard_normal((1, 3, 4)).astype(np.float32)
         out = B.msa_forward(
-            Tensor(xn_np), w, 0, cfg, PromptContext({}, SubnetConfig.empty(2))
+            Tensor(xn_np), w, 0, cfg, PromptContext({}, SubnetConfig.empty(2)), 3
         ).data[0]
 
         # independent scalar unrolling of attention
@@ -106,6 +106,7 @@ class TestMsa:
     def test_lora_equals_merged_weights(self, r, layer):
         # LoRA at rank r is the plain projection with wq := wq + wd[:, :r] @ wu[:r]
         # (and the k twin); layer 1 is the final block, queried by the class row
+        queries = 5 if layer == 0 else 1
         cfg = tiny_cfg()
         rng = np.random.default_rng(6)
         w = cast64(self.one_layer_weights(cfg, seed=5))
@@ -121,9 +122,11 @@ class TestMsa:
             name = f"backbone.L{layer}.attn.w{proj}"
             merged[name] = Tensor(w[name].data + wd @ wu)
         xn = Tensor(rng.standard_normal((2, 5, cfg.embed_dim)))
-        lora = B.msa_forward(xn, {**w, **banks}, layer, cfg, PromptContext(banks, config))
-        plain = B.msa_forward(xn, merged, layer, cfg, PromptContext({}, SubnetConfig.empty(2)))
-        assert lora.shape == plain.shape == (2, 5 if layer == 0 else 1, cfg.embed_dim)
+        lora = B.msa_forward(xn, {**w, **banks}, layer, cfg, PromptContext(banks, config), queries)
+        plain = B.msa_forward(
+            xn, merged, layer, cfg, PromptContext({}, SubnetConfig.empty(2)), queries
+        )
+        assert lora.shape == plain.shape == (2, queries, cfg.embed_dim)
         np.testing.assert_allclose(lora.data, plain.data, rtol=0, atol=1e-12)
 
 
@@ -160,8 +163,10 @@ class TestForward:
         prompted = B.model_forward(weights, cfg, images, PromptContext(weights, config))
         assert np.max(np.abs(plain.data - prompted.data)) == 0.0
 
-    def test_vpt_extends_sequence_inside_blocks(self):
-        cfg = tiny_cfg(num_layers=3)  # layer 1 is not the final block
+    def test_vpt_extends_sequence_inside_blocks(self, monkeypatch):
+        # prompt rows join the attention input as keys and values only: the
+        # block sees num_tokens + 3 rows, but returns num_tokens rows
+        cfg = tiny_cfg(num_layers=3)  # layer 0 is not the final block
         rng = np.random.default_rng(12)
         w = B.init_backbone(cfg, rng)
         banks = init_prompt_banks(cfg.num_layers, cfg.embed_dim, {"adapter": 4, "lora": 4, "vpt": 4}, rng)
@@ -172,14 +177,23 @@ class TestForward:
         )
         ctx = PromptContext(weights, config)
         images = rand_images(cfg, 1, seed=13)
-        x, n = B.block_forward(B.embed(weights, cfg, images), 0, weights, cfg, ctx, 0)
-        assert x.shape[1] == cfg.num_tokens + 3 and n == 3
-        # next layer has no vpt: prompts are dropped again
-        x, n = B.block_forward(x, 1, weights, cfg, ctx, n)
-        assert x.shape[1] == cfg.num_tokens and n == 0
+        seen = []
+        msa_forward = B.msa_forward
+
+        def spy(xn, *args):
+            seen.append(xn.shape[1])
+            return msa_forward(xn, *args)
+
+        monkeypatch.setattr(B, "msa_forward", spy)
+        x = B.block_forward(B.embed(weights, cfg, images), 0, weights, cfg, ctx)
+        assert seen == [cfg.num_tokens + 3]
+        assert x.shape == (1, cfg.num_tokens, cfg.embed_dim)
+        # the next layer has no vpt
+        x = B.block_forward(x, 1, weights, cfg, ctx)
+        assert seen[1] == cfg.num_tokens and x.shape[1] == cfg.num_tokens
         # the final block keeps the class row alone
-        x, n = B.block_forward(x, 2, weights, cfg, ctx, n)
-        assert x.shape == (1, 1, cfg.embed_dim) and n == 0
+        x = B.block_forward(x, 2, weights, cfg, ctx)
+        assert x.shape == (1, 1, cfg.embed_dim)
 
     def test_vpt_token_gradient_vs_finite_differences(self):
         cfg = tiny_cfg()
@@ -226,12 +240,72 @@ class TestFinalBlock:
             ))
 
         images = rand_images(cfg3, 2, seed=21, dtype=np.float64)
-        x, n = B.block_forward(B.embed(weights, cfg3, images), 0, weights, cfg3, context(3), 0)
-        full, n_full = B.block_forward(x, 1, weights, cfg3, context(3), n)
-        final, n_final = B.block_forward(x, 1, weights, cfg2, context(2), n)
-        assert full.shape == (2, cfg3.num_tokens + 2, cfg3.embed_dim) and n_full == 2
-        assert final.shape == (2, 1, cfg2.embed_dim) and n_final == 0
+        x = B.block_forward(B.embed(weights, cfg3, images), 0, weights, cfg3, context(3))
+        full = B.block_forward(x, 1, weights, cfg3, context(3))
+        final = B.block_forward(x, 1, weights, cfg2, context(2))
+        assert full.shape == (2, cfg3.num_tokens, cfg3.embed_dim)
+        assert final.shape == (2, 1, cfg2.embed_dim)
         np.testing.assert_allclose(final.data, full.data[:, :1], rtol=0, atol=1e-12)
+
+
+def full_row_block(x, layer, weights, cfg, prompts):
+    """Reference block under the all-rows rule: the layer's prompt rows sit
+    between the class token and the patches ([class, prompts, patches]),
+    every row queries and every row comes out. Returns the output with the
+    prompt rows dropped again."""
+    n = x.shape[1]
+    rows = prompts.vpt_at(layer)
+    m = 0 if rows is None else rows.shape[0]
+    if m:
+        b, d = x.shape[0], x.shape[2]
+        rows = T.expand(T.reshape(rows, (1, m, d)), (b, m, d))
+        x = T.concat([T.slice_axis(x, 1, 0, 1), rows, T.slice_axis(x, 1, 1, n)], axis=1)
+    p = f"backbone.L{layer}."
+    xn = T.layer_norm(x, weights[p + "ln1.gamma"], weights[p + "ln1.beta"])
+    x = T.add(x, B.msa_forward(xn, weights, layer, cfg, prompts, x.shape[1]))
+    un = T.layer_norm(x, weights[p + "ln2.gamma"], weights[p + "ln2.beta"])
+    mlp_out = T.mlp(un, *(weights[p + f"mlp.{k}"] for k in ("w1", "b1", "w2", "b2")))
+    out = B.block_finish(x, mlp_out, layer, prompts)
+    return T.concat([T.slice_axis(out, 1, 0, 1), T.slice_axis(out, 1, 1 + m, n + m)], axis=1)
+
+
+class TestPromptRowsKeysOnly:
+    """Prompt rows as keys and values only give the same class and patch
+    rows as the all-rows rule, in float64, with every module active."""
+
+    def build(self, seed):
+        cfg = tiny_cfg(num_layers=3)
+        rng = np.random.default_rng(seed)
+        w = B.init_backbone(cfg, rng)
+        banks = init_prompt_banks(3, cfg.embed_dim, {"adapter": 4, "lora": 4, "vpt": 4}, rng)
+        for t in banks.values():  # nonzero up-projections, so every module acts
+            t.data = rng.uniform(-0.5, 0.5, t.shape)
+        weights = cast64({**w, **banks})
+        ctx = PromptContext(weights, SubnetConfig(
+            adapter=ModuleGene(3, (3, 4, 2)), lora=ModuleGene(3, (2, 4, 3)),
+            vpt=ModuleGene(3, (3, 4, 2)),
+        ))
+        images = rand_images(cfg, 2, seed=seed + 1, dtype=np.float64)
+        return cfg, weights, ctx, images
+
+    def test_inner_block_equals_all_rows_rule(self):
+        cfg, weights, ctx, images = self.build(seed=22)
+        x = B.embed(weights, cfg, images)
+        for layer in (0, 1):
+            out = B.block_forward(x, layer, weights, cfg, ctx)
+            ref = full_row_block(x, layer, weights, cfg, ctx)
+            assert out.shape == ref.shape == (2, cfg.num_tokens, cfg.embed_dim)
+            np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
+            x = out
+
+    def test_model_logits_equal_all_rows_rule(self):
+        cfg, weights, ctx, images = self.build(seed=24)
+        x = B.embed(weights, cfg, images)
+        for layer in range(cfg.num_layers):
+            x = full_row_block(x, layer, weights, cfg, ctx)
+        ref = B.readout(weights, cfg, T.slice_axis(x, 1, 0, 1))
+        logits = B.model_forward(weights, cfg, images, ctx)
+        np.testing.assert_allclose(logits.data, ref.data, rtol=0, atol=1e-12)
 
 
 class TestModelGradients:
@@ -308,7 +382,7 @@ class TestFrozenContract:
     def test_init_deterministic(self):
         w1 = B.init_backbone(CFG, np.random.default_rng(42))
         w2 = B.init_backbone(CFG, np.random.default_rng(42))
-        assert B.backbone_hash(w1) == B.backbone_hash(w2)
+        assert backbone_hash(w1) == backbone_hash(w2)
         assert all(np.array_equal(w1[n].data, w2[n].data) for n in w1)
 
     def test_freeze_flags(self):

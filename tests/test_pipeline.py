@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from noah import backbone as B
 from noah import pipeline as P
 from noah import space as S
+from noah import supernet as SN
 from noah import tensor as T
 from noah.cli import main
 from noah.config import ConfigError, config_from_dict, load_run_config
@@ -107,6 +109,24 @@ class TestStages:
         path = tmp_path / "subnet.noah"
         P.save_model_weights(path, model.weights)
         assert P.evaluate_checkpoint(path, config, run, dataset, "val") == log[-1]["val_acc"]
+
+    @pytest.mark.parametrize("encoding,tensor", [
+        ("A2;1,1|L0;0,0|V0;0,0", "adapter.L1.w_down"),  # a layer the checkpoint lacks
+        ("A1;1,0|L0;0,0|V1;2,0", "vpt.L0.P"),  # a module the checkpoint lacks
+        ("A1;2,0|L0;0,0|V0;0,0", "adapter.L0.w_down"),  # wider than stored
+    ])
+    def test_config_that_does_not_fit_checkpoint_named(self, tmp_path, encoding, tensor):
+        run, dataset = tiny_run()
+        cfg = P.backbone_config(run, dataset)
+        backbone, _ = P.build_frozen_backbone(run, cfg)
+        sn = SN.build_supernet(backbone, cfg, P.search_spec(run, backbone),
+                               np.random.default_rng(0))
+        stored = S.SubnetConfig.decode("A1;1,0|L0;0,0|V0;0,0")
+        path = tmp_path / "subnet.noah"
+        P.save_model_weights(path, SN.extract_subnet(sn, stored).weights)
+        config = S.SubnetConfig.decode(encoding)
+        with pytest.raises(ConfigError, match=re.escape(encoding) + ".*" + re.escape(tensor)):
+            P.evaluate_checkpoint(path, config, run, dataset, "val")
 
     def test_supernet_checkpoint_round_trip(self, tmp_path):
         run, dataset = tiny_run()

@@ -101,39 +101,24 @@ class TestLoraDelta:
 class TestInjectPrompts:
     def test_zero_prompts_unchanged(self):
         x = Tensor(np.random.default_rng(8).standard_normal((1, 5, 8)).astype(np.float32))
-        out, m = P.inject_prompts(x, None, current=0)
-        assert out is x and m == 0
+        assert P.inject_prompts(x, None) is x
 
     def test_first_injection_order(self):
         rng = np.random.default_rng(9)
         x = Tensor(rng.standard_normal((2, 5, 8)).astype(np.float32))
         rows = Tensor(rng.standard_normal((3, 8)).astype(np.float32))
-        out, m = P.inject_prompts(x, rows, current=0)
-        assert m == 3 and out.shape == (2, 8, 8)
-        assert np.array_equal(out.data[:, 0], x.data[:, 0])  # class token first
-        assert np.array_equal(out.data[0, 1:4], rows.data)  # then prompts
-        assert np.array_equal(out.data[:, 4:], x.data[:, 1:])  # then patches
+        out = P.inject_prompts(x, rows)
+        assert out.shape == (2, 8, 8)
+        assert np.array_equal(out.data[:, :5], x.data)  # class token and patches first
+        for b in range(2):
+            assert np.array_equal(out.data[b, 5:], rows.data)  # then prompts
 
-    def test_deep_replacement_shrinks(self):
+    def test_prompt_gradient_sums_over_batch(self):
         rng = np.random.default_rng(10)
-        x = Tensor(rng.standard_normal((1, 5, 8)).astype(np.float32))
-        rows4 = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
-        rows2 = Tensor(rng.standard_normal((2, 8)).astype(np.float32))
-        deep, m = P.inject_prompts(x, rows4, current=0)
-        assert deep.shape[1] == 9 and m == 4
-        replaced, m = P.inject_prompts(deep, rows2, current=m)
-        assert replaced.shape[1] == 7 and m == 2
-        assert np.array_equal(replaced.data[0, 1:3], rows2.data)
-        assert np.array_equal(replaced.data[0, 3:], x.data[0, 1:])
-
-    def test_removal_when_inactive(self):
-        rng = np.random.default_rng(11)
-        x = Tensor(rng.standard_normal((1, 5, 8)).astype(np.float32))
-        rows = Tensor(rng.standard_normal((2, 8)).astype(np.float32))
-        injected, m = P.inject_prompts(x, rows, current=0)
-        removed, m = P.inject_prompts(injected, None, current=m)
-        assert m == 0
-        assert removed.data.tobytes() == x.data.tobytes()
+        x = Tensor(rng.standard_normal((3, 5, 8)).astype(np.float32))
+        rows = Tensor(rng.standard_normal((2, 8)).astype(np.float32), requires_grad=True)
+        T.backward(T.sum_all(P.inject_prompts(x, rows)))
+        assert np.array_equal(rows.grad, np.full((2, 8), 3.0, np.float32))
 
 
 class TestEntanglement:

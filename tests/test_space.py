@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -303,16 +305,17 @@ class TestEncoding:
 
     @given(configs())
     @settings(max_examples=50, deadline=None)
-    def test_text_document_roundtrip(self, cfg):
-        assert S.SubnetConfig.from_text(cfg.to_text()) == cfg
+    def test_dict_document_roundtrip(self, cfg):
+        doc = json.loads(json.dumps(cfg.to_dict()))
+        genes = {m: S.ModuleGene(doc[m]["depth"], tuple(doc[m]["dims"])) for m in S.MODULES}
+        assert doc["num_layers"] == cfg.num_layers
+        assert S.SubnetConfig(**genes) == cfg
 
-    def test_text_is_human_readable_keyed(self):
+    def test_dict_is_keyed_by_module(self):
         cfg = S.SubnetConfig.uniform("lora", 5, 2, 4)
-        doc = cfg.to_text()
-        assert '"lora"' in doc and '"depth": 2' in doc
-
-    def test_malformed_document_raises(self):
-        with pytest.raises(S.SpaceError):
-            S.SubnetConfig.from_text("{not json")
-        with pytest.raises(S.SpaceError):
-            S.SubnetConfig.from_text('{"num_layers": 2}')
+        assert cfg.to_dict() == {
+            "num_layers": 4,
+            "adapter": {"depth": 0, "dims": [0, 0, 0, 0]},
+            "lora": {"depth": 2, "dims": [5, 5, 0, 0]},
+            "vpt": {"depth": 0, "dims": [0, 0, 0, 0]},
+        }

@@ -3,12 +3,14 @@ import pytest
 
 from noah import supernet as SN
 from noah import tensor as T
-from noah.backbone import BackboneConfig, backbone_hash, init_backbone, freeze_backbone
+from noah.backbone import BackboneConfig, init_backbone, freeze_backbone
 from noah.optim import OptimHyper, batch_slices
 from noah.space import (
     MODULES, ModuleGene, SearchSpaceSpec, SubnetConfig, count_params, sample_uniform,
 )
 from noah.tensor import Tensor
+
+from gradcheck import backbone_hash
 
 
 def tiny_setup(num_classes=3, seed=0):
