@@ -45,6 +45,9 @@ class BackboneConfig:
     num_classes: int = 8
 
     def __post_init__(self):
+        for name in ("num_layers", "embed_dim", "num_heads", "mlp_hidden", "patch_size", "num_classes"):
+            if getattr(self, name) <= 0:
+                raise ModelError(f"{name} must be positive")
         c, h, w = self.image_shape
         if self.embed_dim % self.num_heads != 0:
             raise ModelError(
@@ -52,9 +55,6 @@ class BackboneConfig:
             )
         if h % self.patch_size or w % self.patch_size:
             raise ModelError(f"image {h}x{w} not divisible by patch size {self.patch_size}")
-        for name in ("num_layers", "embed_dim", "num_heads", "mlp_hidden", "patch_size", "num_classes"):
-            if getattr(self, name) <= 0:
-                raise ModelError(f"{name} must be positive")
 
     @property
     def head_dim(self) -> int:
@@ -75,6 +75,7 @@ class BackboneConfig:
 
 
 BACKBONE_PREFIX = "backbone."
+HEAD_NAMES = ("head.w", "head.b")
 
 
 def init_backbone(cfg: BackboneConfig, rng: np.random.Generator) -> dict[str, Tensor]:
@@ -158,7 +159,7 @@ def msa_forward(
     row. The output is [B, queries, D]."""
     p = f"backbone.L{layer}.attn."
     wq, wk = weights[p + "wq"], weights[p + "wk"]
-    lora = prompts.lora_at(layer)
+    lora = prompts.at("lora", layer)
     if lora is not None:
         q_down, q_up, k_down, k_up, r = lora
         wq = T.add(wq, lora_delta(q_down, q_up, r))
@@ -215,7 +216,7 @@ def block_finish(x: Tensor, mlp_out: Tensor, layer: int, prompts: PromptContext)
     """The rest of the block after ``block_trunk``: the context's adapter at
     ``layer`` on the MLP output, inside the residual branch, then the
     residual add."""
-    adapter = prompts.adapter_at(layer)
+    adapter = prompts.at("adapter", layer)
     if adapter is None:
         return T.add(x, mlp_out)
     w_down, b_down, w_up, b_up, r = adapter

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .checkpoint import atomic_write
-from .evolution import EvolutionSchedule
+from .evolution import EvolutionError, EvolutionSchedule
 from .optim import OptimHyper
 from .space import MODULES, SearchSpaceSpec, SpaceError
 
@@ -29,6 +29,15 @@ class BackboneSection:
     num_heads: int = 4
     mlp_hidden: int = 256
     patch_size: int = 4
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if self.embed_dim % self.num_heads != 0:
+            raise ValueError(
+                f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
+            )
 
 
 @dataclass
@@ -61,6 +70,9 @@ class HyperSection:
     warmup_epochs: int = 10
     batch_size: int = 64
 
+    def __post_init__(self):
+        self.to_hyper()  # OptimHyper raises on bad values
+
     def to_hyper(self) -> OptimHyper:
         return OptimHyper(
             base_lr=self.base_lr,
@@ -69,20 +81,6 @@ class HyperSection:
             warmup_epochs=min(self.warmup_epochs, self.total_epochs),
             batch_size=self.batch_size,
         )
-
-
-@dataclass
-class EvolutionSection:
-    generations: int = 5
-    initial_population: int = 50
-    parent_count: int = 10
-    per_gen_random: int = 50
-    per_gen_crossover: int = 50
-    per_gen_mutation: int = 50
-    mutation_prob: float = 0.2
-
-    def to_schedule(self) -> EvolutionSchedule:
-        return EvolutionSchedule(**dataclasses.asdict(self))
 
 
 @dataclass
@@ -108,7 +106,7 @@ class RunConfig:
     subnet_hyper: HyperSection = field(
         default_factory=lambda: HyperSection(base_lr=1e-3, total_epochs=100)
     )
-    evolution: EvolutionSection = field(default_factory=EvolutionSection)
+    evolution: EvolutionSchedule = field(default_factory=EvolutionSchedule)
     runtime: RuntimeSection = field(default_factory=RuntimeSection)
     dataset: DatasetSection = field(default_factory=DatasetSection)
 
@@ -125,7 +123,7 @@ _SECTIONS = {
     "search_space": SpaceSection,
     "supernet_hyper": HyperSection,
     "subnet_hyper": HyperSection,
-    "evolution": EvolutionSection,
+    "evolution": EvolutionSchedule,
     "runtime": RuntimeSection,
     "dataset": DatasetSection,
 }
@@ -140,7 +138,7 @@ def _build_section(cls, payload: dict, where: str):
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     try:
         return cls(**payload)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, EvolutionError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -164,11 +162,6 @@ def config_from_dict(doc: dict) -> RunConfig:
 
 
 def _validate(run: RunConfig) -> None:
-    bb = run.backbone
-    if bb.embed_dim % bb.num_heads != 0:
-        raise ConfigError(
-            f"backbone.embed_dim {bb.embed_dim} not divisible by num_heads {bb.num_heads}"
-        )
     sp = run.search_space
     if isinstance(sp.dim_choices, list):
         sp.dim_choices = {m: list(sp.dim_choices) for m in MODULES}
@@ -176,7 +169,7 @@ def _validate(run: RunConfig) -> None:
         raise ConfigError(f"search_space.dim_choices must cover {MODULES}")
     try:  # the checks the search stage's spec would make, before any training
         SearchSpaceSpec(
-            num_layers=bb.num_layers,
+            num_layers=run.backbone.num_layers,
             depth_choices=tuple(sp.depth_choices),
             dim_choices={m: tuple(v) for m, v in sp.dim_choices.items()},
             budget=sp.budget or 0,
@@ -185,9 +178,6 @@ def _validate(run: RunConfig) -> None:
         raise ConfigError(f"search_space: {exc}") from exc
     if sp.budget is None and not 0 < sp.budget_fraction <= 1:
         raise ConfigError("search_space.budget_fraction outside (0, 1]")
-    for section in (run.supernet_hyper, run.subnet_hyper):
-        section.to_hyper()  # OptimHyper raises on bad values
-    run.evolution.to_schedule()
     if run.pretrain.epochs < 0 or run.pretrain.samples < run.pretrain.num_classes:
         raise ConfigError("pretrain section invalid")
 

@@ -3,8 +3,8 @@
 Generation 0 is a uniform budget-filtered population. Every later generation
 selects the top-k of everything evaluated so far and produces crossover
 children, mutants, and fresh uniform samples; candidates over budget are
-resampled. Fitness values are cached by canonical encoding, so duplicates
-cost nothing. Ties break toward fewer parameters, then lexicographic
+resampled. Fitness and parameter count are cached by canonical encoding, so
+duplicates cost nothing. Ties break toward fewer parameters, then lexicographic
 encoding, which makes the whole search deterministic given one seed.
 
 The fitness function is called once per generation, in the calling thread,
@@ -26,6 +26,7 @@ import numpy as np
 
 from .checkpoint import atomic_write
 from .space import (
+    MODULES,
     SearchSpaceSpec,
     SpaceError,
     SubnetConfig,
@@ -38,12 +39,20 @@ from .space import (
 log = logging.getLogger("noah.evolution")
 
 
+# Draws a crossover, mutation or random candidate gets to fit the budget
+# before production falls back to a budget-shrunk sample.
+MAX_TRIES = 100
+
+
 class EvolutionError(RuntimeError):
     pass
 
 
 @dataclass(frozen=True)
 class EvolutionSchedule:
+    """Population sizes and rates of one search. It is also the run config's
+    ``evolution`` section: every field is a config key."""
+
     generations: int = 5
     initial_population: int = 50
     parent_count: int = 10
@@ -51,7 +60,6 @@ class EvolutionSchedule:
     per_gen_crossover: int = 50
     per_gen_mutation: int = 50
     mutation_prob: float = 0.2
-    max_tries: int = 100
 
     def __post_init__(self):
         if self.generations < 0 or self.initial_population <= 0:
@@ -114,9 +122,14 @@ class SearchTrace:
         return trace
 
 
-def _rank_key(entry: tuple[str, float, int]):
-    enc, fitness, params = entry
-    return (-fitness, params, enc)
+def _ranked(entries: dict[str, tuple[float, int]]) -> list[tuple[str, float, int]]:
+    """(encoding, fitness, params) for each ``encoding -> (fitness, params)``
+    entry, best first: higher fitness, then fewer parameters, then the
+    encoding."""
+    return sorted(
+        ((enc, fitness, params) for enc, (fitness, params) in entries.items()),
+        key=lambda e: (-e[1], e[2], e[0]),
+    )
 
 
 def evolve(
@@ -137,69 +150,55 @@ def evolve(
     fitness function adds to; each record also holds how much every key of
     it grew during that generation.
     """
-    cache: dict[str, float] = {}
+    cache: dict[str, tuple[float, int]] = {}  # encoding -> (fitness, params)
     trace = SearchTrace(
         meta={"schedule": asdict(schedule), "budget": spec.budget, "seed": seed_note}
     )
 
     def sample_under_budget() -> SubnetConfig:
         try:
-            return sample_within_budget(spec, rng, schedule.max_tries)
+            return sample_within_budget(spec, rng, MAX_TRIES)
         except SpaceError as exc:
             raise EvolutionError(f"budget infeasible: {exc}") from exc
 
     def produce(make: Callable[[], SubnetConfig]) -> SubnetConfig:
-        for _ in range(schedule.max_tries):
+        for _ in range(MAX_TRIES):
             candidate = make()
             if spec_count(spec, candidate) <= spec.budget:
                 return candidate
         log.debug("production capped out; falling back to a budget-shrunk sample")
         return sample_under_budget()
 
-    def evaluate_batch(batch: list[tuple[str, SubnetConfig]]) -> dict:
+    def run_generation(gen: int, batch: list[tuple[str, SubnetConfig]]) -> list[tuple]:
+        """Score the batch, record it with the best so far, and return the
+        ranking of everything evaluated."""
+        encodings = [config.encode() for _, config in batch]
         fresh = {}
-        for _, config in batch:
-            enc = config.encode()
+        for enc, (_, config) in zip(encodings, batch):
             if enc not in cache:
                 fresh.setdefault(enc, config)
         before = dict(counts or {})
         if fresh:
             values = fitness_fn(list(fresh.values()))
-            for enc, value in zip(fresh, values, strict=True):
-                cache[enc] = float(value)
-        record = {"fresh": len(fresh), "cache_hits": len(batch) - len(fresh)}
+            for (enc, config), value in zip(fresh.items(), values, strict=True):
+                cache[enc] = (float(value), spec_count(spec, config))
+        record = {"generation": gen, "fresh": len(fresh), "cache_hits": len(batch) - len(fresh)}
         for key, value in (counts or {}).items():
             record[key] = value - before.get(key, 0)
         record["candidates"] = [
-            {
-                "source": source,
-                "config": config.encode(),
-                "fitness": cache[config.encode()],
-                "params": spec_count(spec, config),
-            }
-            for source, config in batch
+            {"source": source, "config": enc, "fitness": cache[enc][0], "params": cache[enc][1]}
+            for enc, (source, _) in zip(encodings, batch)
         ]
-        return record
-
-    def top_k() -> list[SubnetConfig]:
-        entries = [
-            (enc, fitness, spec_count(spec, SubnetConfig.decode(enc)))
-            for enc, fitness in cache.items()
-        ]
-        entries.sort(key=_rank_key)
-        return [SubnetConfig.decode(enc) for enc, _, _ in entries[: schedule.parent_count]]
-
-    def best_entry() -> dict:
-        enc, fitness, params = min(
-            ((e, f, spec_count(spec, SubnetConfig.decode(e))) for e, f in cache.items()),
-            key=_rank_key,
-        )
-        return {"config": enc, "fitness": fitness, "params": params}
+        ranking = _ranked(cache)
+        enc, fitness, params = ranking[0]
+        record["best_so_far"] = {"config": enc, "fitness": fitness, "params": params}
+        trace.add_generation(record)
+        return ranking
 
     batch = [("init", sample_under_budget()) for _ in range(schedule.initial_population)]
-    trace.add_generation({"generation": 0, **evaluate_batch(batch), "best_so_far": best_entry()})
+    ranking = run_generation(0, batch)
     for gen in range(1, schedule.generations + 1):
-        parents = top_k()
+        parents = [SubnetConfig.decode(enc) for enc, _, _ in ranking[: schedule.parent_count]]
         batch = []
         for _ in range(schedule.per_gen_crossover):
             def cross():
@@ -216,10 +215,8 @@ def evolve(
             batch.append(("mutation", produce(mut)))
         for _ in range(schedule.per_gen_random):
             batch.append(("random", sample_under_budget()))
-        trace.add_generation(
-            {"generation": gen, **evaluate_batch(batch), "best_so_far": best_entry()}
-        )
-    best = best_entry()
+        ranking = run_generation(gen, batch)
+    best = trace.generations[-1]["best_so_far"]
     log.info("search done: best %s fitness %.4f (%d params)",
              best["config"], best["fitness"], best["params"])
     return SubnetConfig.decode(best["config"]), trace
@@ -237,18 +234,15 @@ def report(trace: SearchTrace, top_k: int = 10) -> tuple[str, dict]:
     final = trace.generations[-1]["best_so_far"]
     best = SubnetConfig.decode(final["config"])
 
-    ranked = sorted(
-        {c["config"]: (c["fitness"], c["params"]) for c in trace.all_candidates()}.items(),
-        key=lambda kv: (-kv[1][0], kv[1][1], kv[0]),
-    )
-    top = [SubnetConfig.decode(enc) for enc, _ in ranked[:top_k]]
+    ranked = _ranked({c["config"]: (c["fitness"], c["params"]) for c in trace.all_candidates()})
+    top = [SubnetConfig.decode(enc) for enc, _, _ in ranked[:top_k]]
     layer_count = top[0].num_layers
     averages = {
         m: [
             float(np.mean([cfg.active_dim(m, layer) for cfg in top]))
             for layer in range(layer_count)
         ]
-        for m in ("adapter", "lora", "vpt")
+        for m in MODULES
     }
 
     summary = {
@@ -256,7 +250,7 @@ def report(trace: SearchTrace, top_k: int = 10) -> tuple[str, dict]:
         "best_document": best.to_dict(),
         "fitness_curve": trace.best_so_far_curve(),
         "evaluations_per_generation": [len(g["candidates"]) for g in trace.generations],
-        "top_k": [enc for enc, _ in ranked[:top_k]],
+        "top_k": [enc for enc, _, _ in ranked[:top_k]],
         "average_dims_top_k": averages,
     }
 
@@ -268,7 +262,7 @@ def report(trace: SearchTrace, top_k: int = 10) -> tuple[str, dict]:
         "  best-so-far : " + ", ".join(f"{v:.4f}" for v in summary["fitness_curve"]),
         f"  average dims over top-{len(top)} configs (per layer):",
     ]
-    for m in ("adapter", "lora", "vpt"):
+    for m in MODULES:
         dims = ", ".join(f"{v:.1f}" for v in averages[m])
         lines.append(f"    {m:<7}: {dims}")
     return "\n".join(lines) + "\n", summary

@@ -10,12 +10,16 @@ one the stage logged.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 
 import numpy as np
 
 from . import space as S
-from .backbone import BackboneConfig, freeze_backbone, init_backbone, pseudo_pretrain, reinit_head
+from .backbone import (
+    BACKBONE_PREFIX, HEAD_NAMES, BackboneConfig, freeze_backbone, init_backbone, pseudo_pretrain,
+    reinit_head,
+)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig
 from .data import Dataset, gen_mixed_base_task
@@ -49,11 +53,11 @@ def backbone_config(run: RunConfig, dataset: Dataset) -> BackboneConfig:
 
 
 def backbone_param_count(weights: dict[str, Tensor]) -> int:
-    return sum(t.size for n, t in weights.items() if n.startswith("backbone."))
+    return sum(t.size for n, t in weights.items() if n.startswith(BACKBONE_PREFIX))
 
 
 def head_param_count(weights: dict[str, Tensor]) -> int:
-    return sum(t.size for n, t in weights.items() if n.startswith("head."))
+    return sum(weights[n].size for n in HEAD_NAMES if n in weights)
 
 
 def search_spec(run: RunConfig, weights: dict[str, Tensor]) -> S.SearchSpaceSpec:
@@ -77,15 +81,7 @@ def build_frozen_backbone(run: RunConfig, cfg: BackboneConfig) -> tuple[dict, li
     and re-point the head at the downstream class count."""
     pt = run.pretrain
     rng = np.random.default_rng(pt.seed)
-    pre_cfg = BackboneConfig(
-        num_layers=cfg.num_layers,
-        embed_dim=cfg.embed_dim,
-        num_heads=cfg.num_heads,
-        mlp_hidden=cfg.mlp_hidden,
-        patch_size=cfg.patch_size,
-        image_shape=cfg.image_shape,
-        num_classes=pt.num_classes,
-    )
+    pre_cfg = dataclasses.replace(cfg, num_classes=pt.num_classes)
     weights = init_backbone(pre_cfg, rng)
     pretrain_log: list[dict] = []
     if pt.epochs > 0:
@@ -142,7 +138,7 @@ def evolve_stage(
         return evolve(
             fitness,
             sn.spec,
-            run.evolution.to_schedule(),
+            run.evolution,
             rng,
             seed_note=run.seed + 1,
             counts=counts,
@@ -226,7 +222,7 @@ def save_model_weights(path, weights: dict[str, Tensor]) -> None:
 def load_model_weights(path) -> dict[str, Tensor]:
     arrays = load_checkpoint(path)
     return {
-        name: Tensor(arr, requires_grad=not name.startswith("backbone."))
+        name: Tensor(arr, requires_grad=not name.startswith(BACKBONE_PREFIX))
         for name, arr in arrays.items()
     }
 

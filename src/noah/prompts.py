@@ -1,102 +1,101 @@
-"""Adapter, LoRA and VPT parameter banks with prefix-slice weight sharing.
+"""Adapter, LoRA and VPT prompt tensors, laid out once in ``LAYOUT``.
 
-Banks are stored at maximal dimension. Activating a smaller dimension reads
-only the leading slices (first columns of down-projections, first rows of
-up-projections, first token rows), so every subnet trains the same underlying
-prefixes. Up-projections start at zero: a freshly initialized bank is an
-exact no-op on the host model.
+``LAYOUT`` is the single definition of the prompt tensors: for each module,
+the tensors it adds at one layer, each with its name, its axes (the embed dim
+or the module's active dim) and whether it starts uniform or at zero. Every
+reader goes through it: ``init_subnet_tensors`` (fresh tensors for a config),
+``bank_regions`` (the part of each tensor a config touches) and
+``PromptContext`` (the tensors a block reads).
+
+The supernet's banks are the tensors of the full-size config, every module at
+every layer at its largest dim. A smaller dimension reads only the leading
+slices along the module-dim axis (first columns of down-projections, first
+rows of up-projections, first token rows), so every subnet trains the same
+underlying prefixes. Up-projections start at zero: freshly initialized
+tensors are an exact no-op on the host model.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import tensor as T
-from .space import SubnetConfig
+from .space import MODULES, SubnetConfig
 from .tensor import Tensor
 
+# Per module, the tensors it adds at one layer, in initialization order:
+# (name within "<module>.L<layer>.", axes, starts uniform). Each axis is "d",
+# the embed dim, or "r", the module's active dim at that layer.
+LAYOUT = {
+    "adapter": (
+        ("w_down", "dr", True),
+        ("b_down", "r", False),
+        ("w_up", "rd", False),
+        ("b_up", "d", False),
+    ),
+    "lora": (
+        ("q.w_down", "dr", True),
+        ("q.w_up", "rd", False),
+        ("k.w_down", "dr", True),
+        ("k.w_up", "rd", False),
+    ),
+    "vpt": (("P", "rd", True),),
+}
 
-def init_prompt_banks(
-    num_layers: int,
-    embed_dim: int,
-    max_dims: dict[str, int],
-    rng: np.random.Generator,
-) -> dict[str, Tensor]:
-    """Fresh trainable banks for all three modules, keyed by checkpoint name."""
-    d = embed_dim
-    bound = 1.0 / np.sqrt(d)
-    banks: dict[str, Tensor] = {}
 
-    def uniform(*shape):
-        return rng.uniform(-bound, bound, shape).astype(np.float32)
+@functools.cache
+def tensor_names(module: str, layer: int) -> tuple[str, ...]:
+    """Checkpoint names of ``module``'s tensors at ``layer``, in layout order."""
+    return tuple(f"{module}.L{layer}.{suffix}" for suffix, _, _ in LAYOUT[module])
 
-    for i in range(num_layers):
-        r = max_dims["adapter"]
-        banks[f"adapter.L{i}.w_down"] = Tensor(uniform(d, r), requires_grad=True)
-        banks[f"adapter.L{i}.b_down"] = Tensor(np.zeros(r, np.float32), requires_grad=True)
-        banks[f"adapter.L{i}.w_up"] = Tensor(np.zeros((r, d), np.float32), requires_grad=True)
-        banks[f"adapter.L{i}.b_up"] = Tensor(np.zeros(d, np.float32), requires_grad=True)
-        r = max_dims["lora"]
-        for proj in ("q", "k"):
-            banks[f"lora.L{i}.{proj}.w_down"] = Tensor(uniform(d, r), requires_grad=True)
-            banks[f"lora.L{i}.{proj}.w_up"] = Tensor(
-                np.zeros((r, d), np.float32), requires_grad=True
-            )
-        m = max_dims["vpt"]
-        banks[f"vpt.L{i}.P"] = Tensor(uniform(m, d), requires_grad=True)
-    return banks
+
+def _active(config: SubnetConfig):
+    """(module, layer, dim) of every module ``config`` turns on, layer by
+    layer in ``MODULES`` order."""
+    for layer in range(config.num_layers):
+        for m in MODULES:
+            r = config.active_dim(m, layer)
+            if r > 0:
+                yield m, layer, r
 
 
 def init_subnet_tensors(
     config: SubnetConfig, embed_dim: int, rng: np.random.Generator
 ) -> dict[str, Tensor]:
-    """Exact-size fresh tensors for one fixed architecture (baseline runs),
-    same init scheme as the banks."""
-    d = embed_dim
-    bound = 1.0 / np.sqrt(d)
+    """Fresh trainable tensors of exactly the sizes ``config`` reads, keyed
+    by checkpoint name: uniform in +-1/sqrt(embed_dim) or zero, per
+    ``LAYOUT``. For ``spec.full_config()`` these are the supernet's banks."""
+    bound = 1.0 / np.sqrt(embed_dim)
     out: dict[str, Tensor] = {}
-
-    def uniform(*shape):
-        return rng.uniform(-bound, bound, shape).astype(np.float32)
-
-    for i in range(config.num_layers):
-        r = config.active_dim("adapter", i)
-        if r > 0:
-            out[f"adapter.L{i}.w_down"] = Tensor(uniform(d, r), requires_grad=True)
-            out[f"adapter.L{i}.b_down"] = Tensor(np.zeros(r, np.float32), requires_grad=True)
-            out[f"adapter.L{i}.w_up"] = Tensor(np.zeros((r, d), np.float32), requires_grad=True)
-            out[f"adapter.L{i}.b_up"] = Tensor(np.zeros(d, np.float32), requires_grad=True)
-        r = config.active_dim("lora", i)
-        if r > 0:
-            for proj in ("q", "k"):
-                out[f"lora.L{i}.{proj}.w_down"] = Tensor(uniform(d, r), requires_grad=True)
-                out[f"lora.L{i}.{proj}.w_up"] = Tensor(
-                    np.zeros((r, d), np.float32), requires_grad=True
-                )
-        m = config.active_dim("vpt", i)
-        if m > 0:
-            out[f"vpt.L{i}.P"] = Tensor(uniform(m, d), requires_grad=True)
+    for m, layer, r in _active(config):
+        for name, (_, axes, uniform) in zip(tensor_names(m, layer), LAYOUT[m]):
+            shape = tuple(r if a == "r" else embed_dim for a in axes)
+            if uniform:
+                data = rng.uniform(-bound, bound, shape).astype(np.float32)
+            else:
+                data = np.zeros(shape, np.float32)
+            out[name] = Tensor(data, requires_grad=True)
     return out
 
 
+@functools.cache
+def _regions(module: str, layer: int, r: int) -> tuple[tuple[str, tuple], ...]:
+    """(name, region) of ``module``'s tensors at ``layer`` and dim ``r``;
+    cached, since ``bank_regions`` runs every training step."""
+    return tuple(
+        (name, tuple(slice(0, r) if a == "r" else slice(None) for a in axes))
+        for name, (_, axes, _) in zip(tensor_names(module, layer), LAYOUT[module])
+    )
+
+
 def bank_regions(config: SubnetConfig) -> dict[str, tuple]:
-    """Index regions of each bank touched by ``config`` (optimizer masking)."""
+    """Index region of each prompt tensor ``config`` touches: the leading
+    ``r`` entries along the module-dim axis (optimizer masking, extraction)."""
     regions: dict[str, tuple] = {}
-    for i in range(config.num_layers):
-        r = config.active_dim("adapter", i)
-        if r > 0:
-            regions[f"adapter.L{i}.w_down"] = (slice(None), slice(0, r))
-            regions[f"adapter.L{i}.b_down"] = (slice(0, r),)
-            regions[f"adapter.L{i}.w_up"] = (slice(0, r), slice(None))
-            regions[f"adapter.L{i}.b_up"] = (slice(None),)
-        r = config.active_dim("lora", i)
-        if r > 0:
-            for proj in ("q", "k"):
-                regions[f"lora.L{i}.{proj}.w_down"] = (slice(None), slice(0, r))
-                regions[f"lora.L{i}.{proj}.w_up"] = (slice(0, r), slice(None))
-        m = config.active_dim("vpt", i)
-        if m > 0:
-            regions[f"vpt.L{i}.P"] = (slice(0, m), slice(None))
+    for m, layer, r in _active(config):
+        regions.update(_regions(m, layer, r))
     return regions
 
 
@@ -154,34 +153,15 @@ class PromptContext:
         self.tensors = tensors
         self.config = config
 
-    def adapter_at(self, layer: int):
-        r = self.config.active_dim("adapter", layer)
+    def at(self, module: str, layer: int):
+        """``module``'s tensors at ``layer`` in ``LAYOUT`` order, then its
+        active dim; None where the config leaves the module off."""
+        r = self.config.active_dim(module, layer)
         if r == 0:
             return None
-        t = self.tensors
-        return (
-            t[f"adapter.L{layer}.w_down"],
-            t[f"adapter.L{layer}.b_down"],
-            t[f"adapter.L{layer}.w_up"],
-            t[f"adapter.L{layer}.b_up"],
-            r,
-        )
-
-    def lora_at(self, layer: int):
-        r = self.config.active_dim("lora", layer)
-        if r == 0:
-            return None
-        t = self.tensors
-        return (
-            t[f"lora.L{layer}.q.w_down"],
-            t[f"lora.L{layer}.q.w_up"],
-            t[f"lora.L{layer}.k.w_down"],
-            t[f"lora.L{layer}.k.w_up"],
-            r,
-        )
+        return (*map(self.tensors.__getitem__, tensor_names(module, layer)), r)
 
     def vpt_at(self, layer: int) -> Tensor | None:
-        m = self.config.active_dim("vpt", layer)
-        if m == 0:
-            return None
-        return T.slice_axis(self.tensors[f"vpt.L{layer}.P"], 0, 0, m)
+        """The layer's first ``r`` prompt rows, or None."""
+        vpt = self.at("vpt", layer)
+        return None if vpt is None else T.slice_axis(vpt[0], 0, 0, vpt[1])

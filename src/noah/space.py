@@ -131,6 +131,14 @@ class SearchSpaceSpec:
         """Per-layer gene values: the dim choices plus 0 (module absent here)."""
         return (0,) + tuple(self.dim_choices[module])
 
+    def full_config(self) -> SubnetConfig:
+        """Every module at depth ``num_layers`` and its largest dim: the
+        supernet's size, of which every config in the space reads a prefix."""
+        return SubnetConfig(**{
+            m: ModuleGene(self.num_layers, (max(self.dim_choices[m]),) * self.num_layers)
+            for m in MODULES
+        })
+
 
 # ---------------------------------------------------------------------------
 # parameter accounting

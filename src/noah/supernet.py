@@ -1,13 +1,14 @@
 """One prompted-model type: a frozen backbone, prompt tensors and a
 classifier head, run for any subnet config.
 
-The supernet holds maximal entangled prompt banks. Each training step samples
-one subnet uniformly, runs it, and updates only the bank prefixes that subnet
-touched (plus the always-trainable classifier head). Any subnet can then be
-evaluated with inherited weights, or extracted into a model of the same type
-whose exact-size tensors reproduce the supernet forward bit for bit. A
-retrained or baseline subnet is the same type again, trained by the same
-``train_model`` on a fixed config.
+The supernet is the full-size subnet: its prompt tensors, the entangled banks,
+are those of ``spec.full_config()``, laid out by ``prompts.LAYOUT`` like every
+other model's. Each training step samples one subnet uniformly, runs it, and
+updates only the bank prefixes that subnet touched (plus the always-trainable
+classifier head). Any subnet can then be evaluated with inherited weights, or
+extracted into a model of the same type whose exact-size tensors reproduce
+the supernet forward bit for bit. A retrained or baseline subnet is the same
+type again, trained by the same ``train_model`` on a fixed config.
 
 Evaluation scores a whole list of subnets at once. The hidden state entering
 layer l depends only on the embedding and on the per-layer genes of layers
@@ -39,22 +40,21 @@ import numpy as np
 
 from . import backbone as B
 from . import tensor as T
-from .backbone import BackboneConfig, model_forward
+from .backbone import BACKBONE_PREFIX, HEAD_NAMES, BackboneConfig, model_forward
 from .optim import AdamW, OptimHyper, TrainingDivergedError, batch_slices, full_region, run_training
-from .prompts import PromptContext, bank_regions, init_prompt_banks, init_subnet_tensors
+from .prompts import PromptContext, bank_regions, init_subnet_tensors
 from .space import SearchSpaceSpec, SubnetConfig
 from .tensor import Tensor
-
-HEAD_NAMES = ("head.w", "head.b")
 
 
 @dataclass
 class PromptedModel:
     """Frozen backbone plus prompt tensors and a classifier head.
 
-    The prompt tensors are either the supernet's maximal banks or one
-    subnet's exact-size slices; both are read through the same prefix-slice
-    ops, so a config runs on any model whose tensors are at least its size.
+    The prompt tensors are the supernet's full-size banks or one subnet's
+    exact-size tensors, both laid out by ``prompts.LAYOUT`` and read through
+    the same prefix-slice ops, so a config runs on any model whose tensors
+    are at least its size.
     """
 
     cfg: BackboneConfig
@@ -77,15 +77,9 @@ def build_supernet(
     spec: SearchSpaceSpec,
     rng: np.random.Generator,
 ) -> PromptedModel:
-    banks = init_prompt_banks(
-        cfg.num_layers,
-        cfg.embed_dim,
-        {m: max(spec.dim_choices[m]) for m in spec.dim_choices},
-        rng,
-    )
-    weights = dict(backbone_weights)
-    weights.update(banks)
-    return PromptedModel(cfg=cfg, spec=spec, weights=weights)
+    """The full-size subnet of ``spec``: its fresh prompt tensors are the
+    banks every config in the space reads a prefix of."""
+    return fresh_subnet(backbone_weights, cfg, spec, spec.full_config(), rng)
 
 
 def training_regions(config: SubnetConfig, weights: dict[str, Tensor]) -> dict[str, tuple]:
@@ -194,18 +188,28 @@ def evaluate(
     return [c / n for c in correct]
 
 
-def extract_subnet(sn: PromptedModel, config: SubnetConfig) -> PromptedModel:
-    """Copy exactly the prefix slices the config names, plus the head. The
-    backbone is shared read-only."""
-    weights: dict[str, Tensor] = {
-        n: t for n, t in sn.weights.items() if n.startswith("backbone.")
-    }
-    for name, region in bank_regions(config).items():
-        piece = np.ascontiguousarray(sn.weights[name].data[region]).copy()
-        weights[name] = Tensor(piece, requires_grad=True)
+def _assemble(
+    source: dict[str, Tensor],
+    cfg: BackboneConfig,
+    spec: SearchSpaceSpec,
+    prompt_tensors: dict[str, Tensor],
+) -> PromptedModel:
+    """``source``'s backbone, shared read-only, the given prompt tensors and
+    a trainable copy of ``source``'s head."""
+    weights = {n: t for n, t in source.items() if n.startswith(BACKBONE_PREFIX)}
+    weights.update(prompt_tensors)
     for name in HEAD_NAMES:
-        weights[name] = Tensor(sn.weights[name].data.copy(), requires_grad=True)
-    return PromptedModel(cfg=sn.cfg, spec=sn.spec, weights=weights)
+        weights[name] = Tensor(source[name].data.copy(), requires_grad=True)
+    return PromptedModel(cfg=cfg, spec=spec, weights=weights)
+
+
+def extract_subnet(sn: PromptedModel, config: SubnetConfig) -> PromptedModel:
+    """Copy exactly the prefix slices the config names, plus the head."""
+    pieces = {
+        name: Tensor(sn.weights[name].data[region].copy(), requires_grad=True)
+        for name, region in bank_regions(config).items()
+    }
+    return _assemble(sn.weights, sn.cfg, sn.spec, pieces)
 
 
 def fresh_subnet(
@@ -216,9 +220,5 @@ def fresh_subnet(
     rng: np.random.Generator,
 ) -> PromptedModel:
     """Freshly initialized exact-size prompt tensors for ``config`` and a
-    copy of the given head (baseline and from-scratch training)."""
-    weights = {n: t for n, t in backbone_weights.items() if n.startswith("backbone.")}
-    weights.update(init_subnet_tensors(config, cfg.embed_dim, rng))
-    for name in HEAD_NAMES:
-        weights[name] = Tensor(backbone_weights[name].data.copy(), requires_grad=True)
-    return PromptedModel(cfg=cfg, spec=spec, weights=weights)
+    copy of the given head (the supernet, baselines, from-scratch runs)."""
+    return _assemble(backbone_weights, cfg, spec, init_subnet_tensors(config, cfg.embed_dim, rng))

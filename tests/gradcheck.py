@@ -1,5 +1,6 @@
 """Central finite-difference gradient oracle, independent of the tape engine,
-and a hash of the frozen backbone for tests that check it stays untouched.
+a hash of the frozen backbone for tests that check it stays untouched, and
+full-size prompt banks built without a supernet.
 
 Builds expected gradients purely from repeated forward evaluations in 64-bit
 mode, so it shares no code path with the analytic backward rules it checks.
@@ -11,6 +12,8 @@ import numpy as np
 
 from noah import tensor as T
 from noah.backbone import BACKBONE_PREFIX
+from noah.prompts import init_subnet_tensors
+from noah.space import MODULES, SearchSpaceSpec
 
 
 def numeric_grad(loss_fn, param: T.Tensor, h: float = 1e-5) -> np.ndarray:
@@ -64,3 +67,10 @@ def backbone_hash(weights: dict[str, T.Tensor]) -> str:
         h.update(np.asarray(t.shape, np.int64).tobytes())
         h.update(np.ascontiguousarray(t.data).tobytes())
     return h.hexdigest()
+
+
+def full_banks(num_layers: int, embed_dim: int, dim: int, rng: np.random.Generator):
+    """Supernet-shaped prompt tensors: every module at every layer at ``dim``."""
+    spec = SearchSpaceSpec(num_layers, depth_choices=(num_layers,),
+                           dim_choices={m: (dim,) for m in MODULES}, embed_dim=embed_dim)
+    return init_subnet_tensors(spec.full_config(), embed_dim, rng)

@@ -3,11 +3,11 @@ import pytest
 
 from noah import backbone as B
 from noah import tensor as T
-from noah.prompts import PromptContext, init_prompt_banks
+from noah.prompts import PromptContext
 from noah.space import ModuleGene, SubnetConfig
 from noah.tensor import Tensor
 
-from gradcheck import backbone_hash, max_rel_err, numeric_grad
+from gradcheck import backbone_hash, full_banks, max_rel_err, numeric_grad
 
 CFG = B.BackboneConfig()  # 4 layers, D=64, 4 heads, 16x16 images, patch 4
 
@@ -40,6 +40,9 @@ class TestConfig:
             B.BackboneConfig(embed_dim=65)
         with pytest.raises(B.ModelError):
             B.BackboneConfig(image_shape=(1, 15, 16))
+        for divisor in ("num_heads", "patch_size"):  # checked before it divides
+            with pytest.raises(B.ModelError, match=f"{divisor} must be positive"):
+                B.BackboneConfig(**{divisor: 0})
 
 
 class TestMsa:
@@ -110,7 +113,7 @@ class TestMsa:
         cfg = tiny_cfg()
         rng = np.random.default_rng(6)
         w = cast64(self.one_layer_weights(cfg, seed=5))
-        banks = init_prompt_banks(cfg.num_layers, cfg.embed_dim, {"adapter": 8, "lora": 8, "vpt": 8}, rng)
+        banks = full_banks(cfg.num_layers, cfg.embed_dim, 8, rng)
         banks = {n: Tensor(rng.uniform(-0.5, 0.5, t.shape)) for n, t in banks.items()}
         config = SubnetConfig(
             adapter=ModuleGene(0, (0, 0)), lora=ModuleGene(2, (r, r)), vpt=ModuleGene(0, (0, 0))
@@ -153,7 +156,7 @@ class TestForward:
         cfg = tiny_cfg()
         rng = np.random.default_rng(10)
         w = B.init_backbone(cfg, rng)
-        banks = init_prompt_banks(cfg.num_layers, cfg.embed_dim, {"adapter": 4, "lora": 4, "vpt": 4}, rng)
+        banks = full_banks(cfg.num_layers, cfg.embed_dim, 4, rng)
         weights = {**w, **banks}
         config = SubnetConfig(
             adapter=ModuleGene(2, (4, 2)), lora=ModuleGene(1, (3, 0)), vpt=ModuleGene(0, (0, 0))
@@ -169,7 +172,7 @@ class TestForward:
         cfg = tiny_cfg(num_layers=3)  # layer 0 is not the final block
         rng = np.random.default_rng(12)
         w = B.init_backbone(cfg, rng)
-        banks = init_prompt_banks(cfg.num_layers, cfg.embed_dim, {"adapter": 4, "lora": 4, "vpt": 4}, rng)
+        banks = full_banks(cfg.num_layers, cfg.embed_dim, 4, rng)
         weights = {**w, **banks}
         config = SubnetConfig(
             adapter=ModuleGene(0, (0, 0, 0)), lora=ModuleGene(0, (0, 0, 0)),
@@ -199,7 +202,7 @@ class TestForward:
         cfg = tiny_cfg()
         rng = np.random.default_rng(14)
         w = cast64(B.init_backbone(cfg, rng))
-        banks = init_prompt_banks(cfg.num_layers, cfg.embed_dim, {"adapter": 4, "lora": 4, "vpt": 4}, rng)
+        banks = full_banks(cfg.num_layers, cfg.embed_dim, 4, rng)
         banks = cast64(banks)
         B.freeze_backbone(w)
         weights = {**w, **banks}
@@ -227,7 +230,7 @@ class TestFinalBlock:
         cfg2, cfg3 = tiny_cfg(), tiny_cfg(num_layers=3)
         rng = np.random.default_rng(20)
         w = B.init_backbone(cfg3, rng)
-        banks = init_prompt_banks(3, cfg3.embed_dim, {"adapter": 4, "lora": 4, "vpt": 4}, rng)
+        banks = full_banks(3, cfg3.embed_dim, 4, rng)
         for t in banks.values():  # nonzero up-projections, so every module acts
             t.data = rng.uniform(-0.5, 0.5, t.shape)
         weights = cast64({**w, **banks})
@@ -277,7 +280,7 @@ class TestPromptRowsKeysOnly:
         cfg = tiny_cfg(num_layers=3)
         rng = np.random.default_rng(seed)
         w = B.init_backbone(cfg, rng)
-        banks = init_prompt_banks(3, cfg.embed_dim, {"adapter": 4, "lora": 4, "vpt": 4}, rng)
+        banks = full_banks(3, cfg.embed_dim, 4, rng)
         for t in banks.values():  # nonzero up-projections, so every module acts
             t.data = rng.uniform(-0.5, 0.5, t.shape)
         weights = cast64({**w, **banks})
@@ -317,7 +320,7 @@ class TestModelGradients:
         w = cast64(B.init_backbone(cfg, rng))
         if frozen:
             B.freeze_backbone(w)
-        banks = init_prompt_banks(cfg.num_layers, cfg.embed_dim, {"adapter": 4, "lora": 4, "vpt": 4}, rng)
+        banks = full_banks(cfg.num_layers, cfg.embed_dim, 4, rng)
         for t in banks.values():  # nonzero up-projections, so down-projections get gradients
             t.data = rng.uniform(-0.5, 0.5, t.shape)
         weights = {**w, **cast64(banks)}

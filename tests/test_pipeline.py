@@ -41,15 +41,38 @@ class TestConfig:
         [
             ("evolution", "workers"),
             ("evolution", "mutation_scope"),
+            ("evolution", "max_tries"),
             ("runtime", "adapter_skip"),
             ("runtime", "lora_scale"),
             ("runtime", "decay_vpt"),
         ],
     )
-    def test_evolution_workers_key_rejected(self, section, key):
+    def test_removed_key_rejected(self, section, key):
         """Keys of removed features fail up front, not silently."""
         doc = {section: {**TINY.get(section, {}), key: 4}}
         with pytest.raises(ConfigError, match=rf"{section}: unknown keys \['{key}'\]"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "section, key, value, cause",
+        [
+            pytest.param(*case, id=f"{case[0]}.{case[1]}={case[2]}")
+            for case in [
+                ("evolution", "parent_count", 0, r"parent_count 0 outside \(0, 6\]"),
+                ("evolution", "generations", "x", "'<' not supported"),
+                ("subnet_hyper", "base_lr", -1, "base_lr and batch_size must be positive"),
+                ("backbone", "num_heads", 0, "num_heads must be a positive integer, got 0"),
+                ("backbone", "num_layers", 0, "num_layers must be a positive integer, got 0"),
+                ("backbone", "patch_size", 0, "patch_size must be a positive integer, got 0"),
+                ("backbone", "num_heads", 3, "embed_dim 16 not divisible by num_heads 3"),
+            ]
+        ],
+    )
+    def test_bad_value_names_its_section(self, section, key, value, cause):
+        """A bad value fails at load as a ConfigError naming its section."""
+        doc = copy.deepcopy(TINY)
+        doc.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=rf"^{section}: {cause}"):
             config_from_dict(doc)
 
     @pytest.mark.parametrize(
@@ -183,6 +206,17 @@ class TestCli:
             argv += ["--data", str(tmp_path / data)]
         with pytest.raises(SystemExit) as exc:
             main(argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_config_value_is_a_usage_error(self, tmp_path):
+        """A value the config loader rejects exits 2 before any output."""
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({**TINY, "evolution": {"parent_count": 0}}))
+        save_dataset(gen_synthetic("pattern-class", 4, 40, seed=3), tmp_path / "data")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(config_path), "--data", str(tmp_path / "data"),
+                  "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
 

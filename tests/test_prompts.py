@@ -6,10 +6,12 @@ from noah import tensor as T
 from noah.space import ModuleGene, SubnetConfig
 from noah.tensor import Tensor
 
+from gradcheck import full_banks
+
 
 def make_banks(num_layers=2, embed_dim=8, max_dim=4, seed=0):
     rng = np.random.default_rng(seed)
-    return P.init_prompt_banks(num_layers, embed_dim, {m: max_dim for m in ("adapter", "lora", "vpt")}, rng)
+    return full_banks(num_layers, embed_dim, max_dim, rng)
 
 
 class TestAdapterForward:
@@ -139,9 +141,9 @@ class TestEntanglement:
 
         def run():
             parts = []
-            wd, bd, wu, bu, r = ctx.adapter_at(0)
+            wd, bd, wu, bu, r = ctx.at("adapter", 0)
             parts.append(P.adapter_bottleneck(h, wd, bd, wu, bu, r).data.tobytes())
-            qd, qu, kd, ku, r = ctx.lora_at(0)
+            qd, qu, kd, ku, r = ctx.at("lora", 0)
             parts.append(P.lora_delta(qd, qu, r).data.tobytes())
             parts.append(ctx.vpt_at(0).data.tobytes())
             return parts
@@ -163,7 +165,7 @@ class TestEntanglement:
         )
         ctx = P.PromptContext(banks, config)
         h = Tensor(np.random.default_rng(15).standard_normal((1, 4, 8)).astype(np.float32))
-        wd, bd, wu, bu, r = ctx.adapter_at(0)
+        wd, bd, wu, bu, r = ctx.at("adapter", 0)
         out = P.adapter_bottleneck(h, wd, bd, wu, bu, r)
         T.backward(T.sum_all(out))
         g = banks["adapter.L0.w_down"].grad

@@ -5,8 +5,9 @@ from noah import supernet as SN
 from noah import tensor as T
 from noah.backbone import BackboneConfig, init_backbone, freeze_backbone
 from noah.optim import OptimHyper, batch_slices
+from noah.prompts import bank_regions
 from noah.space import (
-    MODULES, ModuleGene, SearchSpaceSpec, SubnetConfig, count_params, sample_uniform,
+    MODULES, ModuleGene, SearchSpaceSpec, SubnetConfig, count_params, mutate, sample_uniform,
 )
 from noah.tensor import Tensor
 
@@ -354,3 +355,43 @@ class TestExtraction:
         log = SN.train_model(model, images, labels, hyper(2), np.random.default_rng(28),
                              lambda: config)
         assert len(log) == 2
+
+
+class TestLayout:
+    @pytest.mark.parametrize("num_layers", [2, 3])
+    def test_readers_agree(self, num_layers):
+        """Supernet banks, extraction, fresh tensors and ``bank_regions`` all
+        read one layout: for every config, the extracted and fresh subnets
+        hold the same prompt-tensor names and shapes, each the supernet bank
+        sliced by the config's regions, and parameter accounting counts
+        exactly those entries."""
+        cfg = BackboneConfig(num_layers=num_layers, embed_dim=16, num_heads=2, mlp_hidden=32,
+                             patch_size=4, image_shape=(1, 8, 8), num_classes=3)
+        spec = SearchSpaceSpec(
+            num_layers=num_layers, depth_choices=tuple(range(1, num_layers + 1)),
+            dim_choices={"adapter": (1, 3), "lora": (2, 4), "vpt": (1, 2, 5)}, embed_dim=16,
+        )
+        rng = np.random.default_rng(40 + num_layers)
+        weights = init_backbone(cfg, rng)
+        freeze_backbone(weights)
+        sn = SN.build_supernet(weights, cfg, spec, rng)
+
+        def prompt_shapes(model):
+            return {n: t.shape for n, t in model.weights.items() if n not in weights}
+
+        def sliced_banks(config):
+            return {n: sn.weights[n].data[r].shape for n, r in bank_regions(config).items()}
+
+        banks = prompt_shapes(sn)
+        full = spec.full_config()
+        assert banks == prompt_shapes(SN.fresh_subnet(weights, cfg, spec, full, rng))
+        assert banks == sliced_banks(full)
+        assert sum(np.prod(s) for s in banks.values()) == count_params(full, cfg.embed_dim)
+        for _ in range(25):
+            config = mutate(sample_uniform(spec, rng), spec, 0.3, rng)
+            extracted = prompt_shapes(SN.extract_subnet(sn, config))
+            assert extracted == prompt_shapes(SN.fresh_subnet(weights, cfg, spec, config, rng))
+            assert extracted == sliced_banks(config)
+            assert sum(np.prod(s) for s in extracted.values()) == count_params(
+                config, cfg.embed_dim
+            )
