@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +33,7 @@ class BackboneSection:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+            if value <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.embed_dim % self.num_heads != 0:
             raise ValueError(
@@ -52,6 +53,16 @@ class PretrainSection:
     batch_size: int = 64
     noise: float = 8.0
 
+    def __post_init__(self):
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be at least 2, got {self.num_classes}")
+        if self.samples < self.num_classes:
+            raise ValueError(f"samples {self.samples} fewer than num_classes {self.num_classes}")
+        self.to_hyper()  # OptimHyper raises on bad values
+
+    def to_hyper(self) -> OptimHyper:
+        return _optim_hyper(self, self.epochs)
+
 
 @dataclass
 class SpaceSection:
@@ -59,7 +70,18 @@ class SpaceSection:
     dim_choices: dict = field(default_factory=lambda: {m: [1, 5, 10] for m in MODULES})
     budget_fraction: float = 0.0075
     budget: int | None = None  # absolute override of the fraction
-    budget_includes_head: bool = False
+
+    def __post_init__(self):
+        if isinstance(self.dim_choices, list):  # one list for every module
+            self.dim_choices = {m: list(self.dim_choices) for m in MODULES}
+        if not isinstance(self.dim_choices, dict) or set(self.dim_choices) != set(MODULES):
+            raise ValueError(f"dim_choices must cover {MODULES}")
+        if self.budget is None and not 0 < self.budget_fraction <= 1:
+            raise ValueError("budget_fraction outside (0, 1]")
+
+    def to_spec(self, num_layers: int, embed_dim: int, budget: int) -> SearchSpaceSpec:
+        dims = {m: tuple(v) for m, v in self.dim_choices.items()}
+        return SearchSpaceSpec(num_layers, tuple(self.depth_choices), dims, embed_dim, budget)
 
 
 @dataclass
@@ -74,13 +96,13 @@ class HyperSection:
         self.to_hyper()  # OptimHyper raises on bad values
 
     def to_hyper(self) -> OptimHyper:
-        return OptimHyper(
-            base_lr=self.base_lr,
-            total_epochs=self.total_epochs,
-            weight_decay=self.weight_decay,
-            warmup_epochs=min(self.warmup_epochs, self.total_epochs),
-            batch_size=self.batch_size,
-        )
+        return _optim_hyper(self, self.total_epochs)
+
+
+def _optim_hyper(section, epochs: int) -> OptimHyper:
+    """A pretrain or hyper section's optimizer settings, warmup clamped to ``epochs``."""
+    return OptimHyper(section.base_lr, epochs, section.weight_decay,
+                      min(section.warmup_epochs, epochs), section.batch_size)
 
 
 @dataclass
@@ -129,6 +151,20 @@ _SECTIONS = {
 }
 
 
+def _check_types(cls, payload: dict) -> None:
+    """Reject a value that does not fit its field's declared type: an int
+    field takes an int, a float field any number, and neither takes a bool."""
+    hints = typing.get_type_hints(cls)
+    for name, value in payload.items():
+        kinds = typing.get_args(hints[name]) or (hints[name],)
+        number = int if int in kinds else float if float in kinds else None
+        if number is None or (value is None and type(None) in kinds):
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, number)):
+            what = "an integer" if number is int else "a number"
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 def _build_section(cls, payload: dict, where: str):
     if not isinstance(payload, dict):
         raise ConfigError(f"{where}: expected an object, got {type(payload).__name__}")
@@ -137,6 +173,7 @@ def _build_section(cls, payload: dict, where: str):
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     try:
+        _check_types(cls, payload)
         return cls(**payload)
     except (TypeError, ValueError, EvolutionError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
@@ -150,36 +187,18 @@ def config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
     kwargs = {}
     if "seed" in doc:
-        if not isinstance(doc["seed"], int):
-            raise ConfigError("seed must be an integer")
+        _check_types(RunConfig, {"seed": doc["seed"]})
         kwargs["seed"] = doc["seed"]
     for name, cls in _SECTIONS.items():
         if name in doc:
             kwargs[name] = _build_section(cls, doc[name], name)
     run = RunConfig(**kwargs)
-    _validate(run)
-    return run
-
-
-def _validate(run: RunConfig) -> None:
     sp = run.search_space
-    if isinstance(sp.dim_choices, list):
-        sp.dim_choices = {m: list(sp.dim_choices) for m in MODULES}
-    if not isinstance(sp.dim_choices, dict) or set(sp.dim_choices) != set(MODULES):
-        raise ConfigError(f"search_space.dim_choices must cover {MODULES}")
     try:  # the checks the search stage's spec would make, before any training
-        SearchSpaceSpec(
-            num_layers=run.backbone.num_layers,
-            depth_choices=tuple(sp.depth_choices),
-            dim_choices={m: tuple(v) for m, v in sp.dim_choices.items()},
-            budget=sp.budget or 0,
-        )
+        sp.to_spec(run.backbone.num_layers, run.backbone.embed_dim, sp.budget or 0)
     except (SpaceError, TypeError) as exc:
         raise ConfigError(f"search_space: {exc}") from exc
-    if sp.budget is None and not 0 < sp.budget_fraction <= 1:
-        raise ConfigError("search_space.budget_fraction outside (0, 1]")
-    if run.pretrain.epochs < 0 or run.pretrain.samples < run.pretrain.num_classes:
-        raise ConfigError("pretrain section invalid")
+    return run
 
 
 def load_run_config(path) -> RunConfig:

@@ -219,22 +219,6 @@ def split_vtab_style(labels: np.ndarray, seed: int, train_frac: float = 0.8):
     return np.sort(np.asarray(train, np.int64)), np.sort(np.asarray(val, np.int64))
 
 
-def few_shot_subsample(labels: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Exactly ``shots`` indices per class, drawn as a shuffled per-class
-    prefix: the same seed at a higher shot count is a superset."""
-    if shots <= 0:
-        raise DataError("shots must be positive")
-    rng = np.random.default_rng(seed)
-    picked = []
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        perm = idx[rng.permutation(len(idx))]
-        if len(perm) < shots:
-            raise DataError(f"class {cls} has {len(perm)} samples, fewer than {shots} shots")
-        picked.extend(perm[:shots])
-    return np.sort(np.asarray(picked, np.int64))
-
-
 # ---------------------------------------------------------------------------
 # on-disk format
 

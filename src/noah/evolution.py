@@ -1,11 +1,16 @@
 """Budget-constrained evolutionary search over subnet genes.
 
-Generation 0 is a uniform budget-filtered population. Every later generation
-selects the top-k of everything evaluated so far and produces crossover
-children, mutants, and fresh uniform samples; candidates over budget are
-resampled. Fitness and parameter count are cached by canonical encoding, so
-duplicates cost nothing. Ties break toward fewer parameters, then lexicographic
-encoding, which makes the whole search deterministic given one seed.
+Generation 0 is sampled uniformly and kept if under budget; a draw that
+misses the budget ``MAX_TRIES`` times in a row comes from the shrink
+fallback instead, which steps the last draw's largest dim down until it fits
+(about 30% of samples under the default space and budget). So generation 0
+is not the uniform distribution restricted to the budget. Every later
+generation selects the top-k of everything evaluated so far and produces
+crossover children, mutants, and fresh uniform samples; candidates over
+budget are redrawn, with the same fallback. Fitness and parameter count are
+cached by canonical encoding, so duplicates cost nothing. Ties break toward
+fewer parameters, then lexicographic encoding, which makes the whole search
+deterministic given one seed.
 
 The fitness function is called once per generation, in the calling thread,
 with that generation's fresh configs: deduplicated, none seen before, in

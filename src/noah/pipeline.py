@@ -17,14 +17,12 @@ import numpy as np
 
 from . import space as S
 from .backbone import (
-    BACKBONE_PREFIX, HEAD_NAMES, BackboneConfig, freeze_backbone, init_backbone, pseudo_pretrain,
-    reinit_head,
+    BACKBONE_PREFIX, BackboneConfig, freeze_backbone, init_backbone, pseudo_pretrain, reinit_head,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig
 from .data import Dataset, gen_mixed_base_task
 from .evolution import SearchTrace, evolve
-from .optim import OptimHyper
 from .prompts import bank_regions
 from .supernet import (
     PromptedModel,
@@ -56,24 +54,12 @@ def backbone_param_count(weights: dict[str, Tensor]) -> int:
     return sum(t.size for n, t in weights.items() if n.startswith(BACKBONE_PREFIX))
 
 
-def head_param_count(weights: dict[str, Tensor]) -> int:
-    return sum(weights[n].size for n in HEAD_NAMES if n in weights)
-
-
 def search_spec(run: RunConfig, weights: dict[str, Tensor]) -> S.SearchSpaceSpec:
     sp = run.search_space
     budget = sp.budget
     if budget is None:
         budget = S.budget_from_fraction(backbone_param_count(weights), sp.budget_fraction)
-    extra = head_param_count(weights) if sp.budget_includes_head else 0
-    return S.SearchSpaceSpec(
-        num_layers=run.backbone.num_layers,
-        depth_choices=tuple(sp.depth_choices),
-        dim_choices={m: tuple(v) for m, v in sp.dim_choices.items()},
-        embed_dim=run.backbone.embed_dim,
-        budget=budget,
-        extra_budget_params=extra,
-    )
+    return sp.to_spec(run.backbone.num_layers, run.backbone.embed_dim, budget)
 
 
 def build_frozen_backbone(run: RunConfig, cfg: BackboneConfig) -> tuple[dict, list[dict]]:
@@ -88,15 +74,8 @@ def build_frozen_backbone(run: RunConfig, cfg: BackboneConfig) -> tuple[dict, li
         images, labels = gen_mixed_base_task(
             pt.num_classes, pt.samples, pt.seed, cfg.image_shape, pt.noise
         )
-        hyper = OptimHyper(
-            base_lr=pt.base_lr,
-            total_epochs=pt.epochs,
-            weight_decay=pt.weight_decay,
-            warmup_epochs=min(pt.warmup_epochs, pt.epochs),
-            batch_size=pt.batch_size,
-        )
         log.info("pseudo-pretraining backbone: %d samples, %d epochs", len(labels), pt.epochs)
-        pretrain_log = pseudo_pretrain(weights, pre_cfg, images, labels, hyper, rng)
+        pretrain_log = pseudo_pretrain(weights, pre_cfg, images, labels, pt.to_hyper(), rng)
     else:
         freeze_backbone(weights)
     reinit_head(weights, cfg, cfg.num_classes, rng)

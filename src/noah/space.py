@@ -108,7 +108,6 @@ class SearchSpaceSpec:
     dim_choices: dict = field(default_factory=lambda: {m: (1, 5, 10) for m in MODULES})
     embed_dim: int = 64
     budget: int = 10**9
-    extra_budget_params: int = 0  # classifier head size when it counts toward budget
 
     def __post_init__(self):
         if self.num_layers <= 0:
@@ -158,9 +157,9 @@ def module_layer_params(module: str, dim: int, embed_dim: int) -> int:
     raise SpaceError(f"unknown module {module!r}")
 
 
-def count_params(config: SubnetConfig, embed_dim: int, extra: int = 0) -> int:
-    """Exact trainable prompt-parameter count (head excluded unless ``extra``)."""
-    total = extra
+def count_params(config: SubnetConfig, embed_dim: int) -> int:
+    """Exact trainable prompt-parameter count; the head is not counted."""
+    total = 0
     for m in MODULES:
         g = config.gene(m)
         for layer in range(g.depth):
@@ -169,10 +168,10 @@ def count_params(config: SubnetConfig, embed_dim: int, extra: int = 0) -> int:
 
 
 def spec_count(spec: SearchSpaceSpec, config: SubnetConfig) -> int:
-    return count_params(config, spec.embed_dim, extra=spec.extra_budget_params)
+    return count_params(config, spec.embed_dim)
 
 
-def budget_from_fraction(backbone_params: int, fraction: float = 0.0075) -> int:
+def budget_from_fraction(backbone_params: int, fraction: float) -> int:
     return int(round(backbone_params * fraction))
 
 

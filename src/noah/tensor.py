@@ -17,6 +17,9 @@ rule: an op may write only into arrays it allocated itself. It never writes
 into an input's ``.data``, nor into the incoming gradient ``g`` of its
 backward closure, because ``add`` hands the same array to both parents and
 ``reshape`` passes on a view of it.
+
+``matmul``, ``softmax`` and ``gelu`` stay only because the benchmark's tracer
+wraps them by name; the model runs ``linear``, ``attention`` and ``mlp``.
 """
 
 from __future__ import annotations
@@ -59,10 +62,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """N-dimensional float array with an optional gradient slot.
 
@@ -73,11 +72,9 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -91,50 +88,15 @@ class Tensor:
         return self.data.shape
 
     @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
     def size(self) -> int:
         return self.data.size
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -162,40 +124,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise arithmetic
 
 
-def add(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a)
+def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def backward_fn(g):
         return (
             _unbroadcast(g, a.shape) if a.requires_grad else None,
             _unbroadcast(g, b.shape) if b.requires_grad else None,
-        )
-
-    return _make(out, (a, b), backward_fn)
-
-
-def sub(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a)
-    out = a.data - b.data
-
-    def backward_fn(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.shape) if b.requires_grad else None,
-        )
-
-    return _make(out, (a, b), backward_fn)
-
-
-def mul(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a)
-    out = a.data * b.data
-
-    def backward_fn(g):
-        return (
-            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
         )
 
     return _make(out, (a, b), backward_fn)
@@ -278,8 +213,9 @@ def expand(a: Tensor, shape) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; leading axes broadcast, gradients flow to both sides.
 
-    The model calls ``linear`` and ``attention`` instead; ``matmul`` and
-    ``softmax`` stay because ``bench/tracing.py`` wraps them by name."""
+    The model calls ``linear``, ``attention`` and ``mlp`` instead. ``matmul``,
+    ``softmax`` and ``gelu`` stay only because ``bench/tracing.py`` wraps
+    them by name."""
     if a.data.ndim == 0 or b.data.ndim == 0:
         raise GradientError("matmul requires at least 1-d operands")
     if a.shape[-1] != b.shape[-2 if b.data.ndim > 1 else 0]:
@@ -591,29 +527,6 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return _make(np.asarray(loss, dtype=logits.data.dtype), (logits,), backward_fn)
 
 
-def sum_all(a: Tensor) -> Tensor:
-    out = a.data.sum()
-
-    def backward_fn(g):
-        if not a.requires_grad:
-            return (None,)
-        return (np.full(a.shape, g, dtype=a.data.dtype),)
-
-    return _make(np.asarray(out, dtype=a.data.dtype), (a,), backward_fn)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.size
-    out = a.data.mean()
-
-    def backward_fn(g):
-        if not a.requires_grad:
-            return (None,)
-        return (np.full(a.shape, g / n, dtype=a.data.dtype),)
-
-    return _make(np.asarray(out, dtype=a.data.dtype), (a,), backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # reverse pass
 
@@ -621,8 +534,8 @@ def mean_all(a: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Populate ``.grad`` on every requires-grad leaf reachable from ``loss``.
 
-    Repeated calls without ``zero_grad`` accumulate. Traversal follows reverse
-    execution order, visiting each recorded node exactly once.
+    Repeated calls accumulate until ``.grad`` is reset to None. Traversal
+    follows reverse execution order, visiting each recorded node exactly once.
     """
     if loss.data.size != 1:
         raise GradientError(f"backward requires a scalar loss, got shape {loss.shape}")

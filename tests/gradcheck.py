@@ -1,6 +1,7 @@
 """Central finite-difference gradient oracle, independent of the tape engine,
-a hash of the frozen backbone for tests that check it stays untouched, and
-full-size prompt banks built without a supernet.
+a scalar loss built from the ops the model runs, a hash of the frozen
+backbone for tests that check it stays untouched, and full-size prompt banks
+built without a supernet.
 
 Builds expected gradients purely from repeated forward evaluations in 64-bit
 mode, so it shares no code path with the analytic backward rules it checks.
@@ -44,7 +45,7 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) 
 def check_grads(loss_fn, params, h: float = 1e-5, tol: float = 1e-4) -> float:
     """Run backward once, compare every param grad to the oracle; return worst error."""
     for p in params:
-        p.zero_grad()
+        p.grad = None
     loss = loss_fn()
     T.backward(loss)
     worst = 0.0
@@ -54,6 +55,22 @@ def check_grads(loss_fn, params, h: float = 1e-5, tol: float = 1e-4) -> float:
         worst = max(worst, err)
     assert worst < tol, f"gradient mismatch: max relative error {worst:.3e} >= {tol}"
     return worst
+
+
+def weighted_sum(t: T.Tensor, mix: T.Tensor | None = None) -> T.Tensor:
+    """Scalar sum of ``t * mix`` (of ``t`` when ``mix`` is None), shape [1, 1].
+
+    One ``linear`` of ``t`` as a row with ``mix`` as a column, so gradients
+    reach ``mix`` too: ``weighted_sum(x, x)`` is the sum of squares of x."""
+    if mix is None:
+        mix = T.Tensor(np.ones(t.shape, t.data.dtype))
+    return T.linear(T.reshape(t, (1, t.size)), T.reshape(mix, (t.size, 1)))
+
+
+def records_graph() -> bool:
+    """Whether an op records a graph right now, outside any ``no_grad``."""
+    x = T.Tensor(np.zeros(1), requires_grad=True)
+    return T.add(x, x).requires_grad
 
 
 def backbone_hash(weights: dict[str, T.Tensor]) -> str:

@@ -217,7 +217,7 @@ class TestForward:
             return T.cross_entropy(logits, labels)
 
         p = banks["vpt.L0.P"]
-        p.zero_grad()
+        p.grad = None
         T.backward(loss_fn())
         err = max_rel_err(p.grad[:2], numeric_grad(loss_fn, p)[:2])
         assert err < 1e-3
@@ -335,7 +335,7 @@ class TestModelGradients:
 
     def check(self, weights, loss_fn, names):
         for n in names:
-            weights[n].zero_grad()
+            weights[n].grad = None
         T.backward(loss_fn())
         for n in names:
             assert weights[n].grad is not None, n

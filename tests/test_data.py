@@ -91,32 +91,6 @@ class TestSplit:
             D.split_vtab_style(np.array([0, 1], np.uint16), seed=0)
 
 
-class TestFewShot:
-    def test_one_shot_eight_classes(self):
-        labels = np.repeat(np.arange(8, dtype=np.uint16), 10)
-        idx = D.few_shot_subsample(labels, shots=1, seed=0)
-        assert len(idx) == 8
-        assert sorted(labels[idx]) == list(range(8))
-
-    @pytest.mark.parametrize("lo,hi", [(1, 2), (2, 4), (4, 8), (8, 16)])
-    def test_nested_under_shared_seed(self, lo, hi):
-        labels = np.repeat(np.arange(5, dtype=np.uint16), 20)
-        small = set(D.few_shot_subsample(labels, shots=lo, seed=3))
-        big = set(D.few_shot_subsample(labels, shots=hi, seed=3))
-        assert small <= big
-
-    def test_deterministic(self):
-        labels = np.repeat(np.arange(4, dtype=np.uint16), 6)
-        a = D.few_shot_subsample(labels, shots=2, seed=5)
-        b = D.few_shot_subsample(labels, shots=2, seed=5)
-        assert np.array_equal(a, b)
-
-    def test_insufficient_class_named(self):
-        labels = np.array([0, 0, 0, 1], np.uint16)
-        with pytest.raises(D.DataError, match="class 1"):
-            D.few_shot_subsample(labels, shots=2, seed=0)
-
-
 class TestOnDiskFormat:
     def test_roundtrip(self, tmp_path):
         ds = D.gen_synthetic("shape-count", 4, 40, seed=4)

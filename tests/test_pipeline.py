@@ -16,6 +16,8 @@ from noah.config import ConfigError, config_from_dict, load_run_config
 from noah.data import gen_synthetic, save_dataset
 from noah.evolution import SearchTrace
 
+from gradcheck import records_graph
+
 TINY = {
     "seed": 3,
     "backbone": {"num_layers": 2, "embed_dim": 16, "num_heads": 2, "mlp_hidden": 32},
@@ -42,6 +44,7 @@ class TestConfig:
             ("evolution", "workers"),
             ("evolution", "mutation_scope"),
             ("evolution", "max_tries"),
+            ("search_space", "budget_includes_head"),
             ("runtime", "adapter_skip"),
             ("runtime", "lora_scale"),
             ("runtime", "decay_vpt"),
@@ -54,26 +57,45 @@ class TestConfig:
             config_from_dict(doc)
 
     @pytest.mark.parametrize(
-        "section, key, value, cause",
+        "key, value, cause",
         [
-            pytest.param(*case, id=f"{case[0]}.{case[1]}={case[2]}")
+            pytest.param(*case, id=f"{case[0]}={case[1]}")
             for case in [
-                ("evolution", "parent_count", 0, r"parent_count 0 outside \(0, 6\]"),
-                ("evolution", "generations", "x", "'<' not supported"),
-                ("subnet_hyper", "base_lr", -1, "base_lr and batch_size must be positive"),
-                ("backbone", "num_heads", 0, "num_heads must be a positive integer, got 0"),
-                ("backbone", "num_layers", 0, "num_layers must be a positive integer, got 0"),
-                ("backbone", "patch_size", 0, "patch_size must be a positive integer, got 0"),
-                ("backbone", "num_heads", 3, "embed_dim 16 not divisible by num_heads 3"),
+                ("evolution.parent_count", 0, r"parent_count 0 outside \(0, 6\]"),
+                ("evolution.generations", "x", "generations must be an integer, got 'x'"),
+                ("evolution.per_gen_random", 1.5, "per_gen_random must be an integer, got 1.5"),
+                ("evolution.generations", 2.0, "generations must be an integer, got 2.0"),
+                ("evolution.parent_count", True, "parent_count must be an integer, got True"),
+                ("supernet_hyper.total_epochs", 1.5, "total_epochs must be an integer, got 1.5"),
+                ("subnet_hyper.batch_size", 2.5, "batch_size must be an integer, got 2.5"),
+                ("subnet_hyper.base_lr", -1, "base_lr and batch_size must be positive"),
+                ("subnet_hyper.base_lr", True, "base_lr must be a number, got True"),
+                ("search_space.budget", 2.5, "budget must be an integer, got 2.5"),
+                ("backbone.num_heads", 0, "num_heads must be a positive integer, got 0"),
+                ("backbone.num_layers", 0, "num_layers must be a positive integer, got 0"),
+                ("backbone.patch_size", 0, "patch_size must be a positive integer, got 0"),
+                ("backbone.num_heads", 3, "embed_dim 16 not divisible by num_heads 3"),
+                ("backbone.embed_dim", 16.0, "embed_dim must be an integer, got 16.0"),
+                ("seed", True, "seed must be an integer, got True"),
+                ("pretrain.batch_size", 0, "base_lr and batch_size must be positive"),
+                ("pretrain.base_lr", -1, "base_lr and batch_size must be positive"),
+                ("pretrain.num_classes", 1, "num_classes must be at least 2, got 1"),
             ]
         ],
     )
-    def test_bad_value_names_its_section(self, section, key, value, cause):
-        """A bad value fails at load as a ConfigError naming its section."""
+    def test_bad_value_names_its_section(self, key, value, cause):
+        """A bad value fails at load as a ConfigError naming its section
+        (a top-level value names itself)."""
         doc = copy.deepcopy(TINY)
-        doc.setdefault(section, {})[key] = value
-        with pytest.raises(ConfigError, match=rf"^{section}: {cause}"):
+        section, _, name = key.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[name] = value
+        prefix = f"{section}: " if section else ""
+        with pytest.raises(ConfigError, match=f"^{prefix}{cause}"):
             config_from_dict(doc)
+
+    def test_pretrain_warmup_clamped_to_epochs(self):
+        run = config_from_dict({"pretrain": {"epochs": 1, "warmup_epochs": 2}})
+        assert run.pretrain.to_hyper().warmup_epochs == 1
 
     @pytest.mark.parametrize(
         "values, cause",
@@ -226,7 +248,7 @@ class TestSearch:
         run, dataset = tiny_run()
         sn, _ = P.train_supernet_stage(run, dataset)
         best, trace = P.evolve_stage(run, sn, dataset)
-        assert T.grad_enabled()
+        assert records_graph()
         _, log = P.retrain_stage(run, sn, best, dataset)
         assert math.isfinite(log[-1]["train_loss"])
 

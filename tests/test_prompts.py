@@ -6,7 +6,7 @@ from noah import tensor as T
 from noah.space import ModuleGene, SubnetConfig
 from noah.tensor import Tensor
 
-from gradcheck import full_banks
+from gradcheck import full_banks, weighted_sum
 
 
 def make_banks(num_layers=2, embed_dim=8, max_dim=4, seed=0):
@@ -119,7 +119,7 @@ class TestInjectPrompts:
         rng = np.random.default_rng(10)
         x = Tensor(rng.standard_normal((3, 5, 8)).astype(np.float32))
         rows = Tensor(rng.standard_normal((2, 8)).astype(np.float32), requires_grad=True)
-        T.backward(T.sum_all(P.inject_prompts(x, rows)))
+        T.backward(weighted_sum(P.inject_prompts(x, rows)))
         assert np.array_equal(rows.grad, np.full((2, 8), 3.0, np.float32))
 
 
@@ -167,7 +167,7 @@ class TestEntanglement:
         h = Tensor(np.random.default_rng(15).standard_normal((1, 4, 8)).astype(np.float32))
         wd, bd, wu, bu, r = ctx.at("adapter", 0)
         out = P.adapter_bottleneck(h, wd, bd, wu, bu, r)
-        T.backward(T.sum_all(out))
+        T.backward(weighted_sum(out))
         g = banks["adapter.L0.w_down"].grad
         assert g is not None
         assert np.array_equal(g[:, 2:], np.zeros_like(g[:, 2:]))

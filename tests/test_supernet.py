@@ -1,17 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 
 from noah import supernet as SN
 from noah import tensor as T
 from noah.backbone import BackboneConfig, init_backbone, freeze_backbone
-from noah.optim import OptimHyper, batch_slices
+from noah.optim import OptimHyper, TrainingDivergedError, batch_slices
 from noah.prompts import bank_regions
 from noah.space import (
     MODULES, ModuleGene, SearchSpaceSpec, SubnetConfig, count_params, mutate, sample_uniform,
 )
 from noah.tensor import Tensor
 
-from gradcheck import backbone_hash
+from gradcheck import backbone_hash, records_graph
 
 
 def tiny_setup(num_classes=3, seed=0):
@@ -125,6 +127,17 @@ class TestTraining:
         images[labels == 1] += 0.8  # brightness-separable classes
         log = train_uniform(sn, images, labels, hyper(15, base_lr=3e-3), np.random.default_rng(7))
         assert log[-1]["train_loss"] < 0.5 * log[0]["train_loss"]
+
+    def test_divergence_names_the_step_config(self):
+        cfg, spec, sn = tiny_setup()
+        images, labels = rand_data(cfg, 8)
+        sn.weights["head.w"].data[...] = np.inf
+        config = sample_uniform(spec, np.random.default_rng(8))
+        # inf logits give the NaN loss
+        with np.errstate(invalid="ignore"), pytest.raises(
+            TrainingDivergedError, match=re.escape(f"step 0 with config {config.encode()}")
+        ):
+            SN.train_model(sn, images, labels, hyper(1), np.random.default_rng(9), lambda: config)
 
 
 class TestEvaluate:
@@ -280,7 +293,7 @@ class TestSharedWalk:
         cfg, spec, sn, _ = randomized_setup(seed=34)
         images, labels = rand_data(cfg, 8, seed=35)
         SN.evaluate(sn, images, labels, walk_configs())
-        assert T.grad_enabled()
+        assert records_graph()
 
 
 class TestExtraction:
