@@ -152,16 +152,16 @@ _SECTIONS = {
 
 
 def _check_types(cls, payload: dict) -> None:
-    """Reject a value that does not fit its field's declared type: an int
-    field takes an int, a float field any number, and neither takes a bool."""
+    """Reject a value that does not fit its field's declared type: a bool
+    field takes only a bool, an int field an int, a float field any number."""
     hints = typing.get_type_hints(cls)
     for name, value in payload.items():
         kinds = typing.get_args(hints[name]) or (hints[name],)
-        number = int if int in kinds else float if float in kinds else None
-        if number is None or (value is None and type(None) in kinds):
+        kind = next((k for k in (bool, int, float) if k in kinds), None)
+        if kind is None or (value is None and type(None) in kinds):
             continue
-        if isinstance(value, bool) or not isinstance(value, (int, number)):
-            what = "an integer" if number is int else "a number"
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, kind)):
+            what = {bool: "true or false", int: "an integer", float: "a number"}[kind]
             raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 

@@ -1,16 +1,13 @@
 """Budget-constrained evolutionary search over subnet genes.
 
-Generation 0 is sampled uniformly and kept if under budget; a draw that
-misses the budget ``MAX_TRIES`` times in a row comes from the shrink
-fallback instead, which steps the last draw's largest dim down until it fits
-(about 30% of samples under the default space and budget). So generation 0
-is not the uniform distribution restricted to the budget. Every later
-generation selects the top-k of everything evaluated so far and produces
-crossover children, mutants, and fresh uniform samples; candidates over
-budget are redrawn, with the same fallback. Fitness and parameter count are
-cached by canonical encoding, so duplicates cost nothing. Ties break toward
-fewer parameters, then lexicographic encoding, which makes the whole search
-deterministic given one seed.
+Generation 0 and each generation's random candidates are exact draws from
+``sample_uniform`` restricted to the budget (``space.budget_sampler``). Each
+later generation selects the top-k of everything evaluated so far and adds
+crossover children and mutants, each redrawn while over budget, up to
+``MAX_TRIES`` times before a budget sample takes its place. Fitness and
+parameter count are cached by canonical encoding, so duplicates cost
+nothing. Ties break toward fewer parameters, then lexicographic encoding,
+which makes the whole search deterministic given one seed.
 
 The fitness function is called once per generation, in the calling thread,
 with that generation's fresh configs: deduplicated, none seen before, in
@@ -35,17 +32,17 @@ from .space import (
     SearchSpaceSpec,
     SpaceError,
     SubnetConfig,
+    budget_sampler,
     crossover,
     mutate,
-    sample_within_budget,
     spec_count,
 )
 
 log = logging.getLogger("noah.evolution")
 
 
-# Draws a crossover, mutation or random candidate gets to fit the budget
-# before production falls back to a budget-shrunk sample.
+# Draws a crossover or mutation child gets to fit the budget before
+# production takes a budget sample in its place.
 MAX_TRIES = 100
 
 
@@ -160,19 +157,18 @@ def evolve(
         meta={"schedule": asdict(schedule), "budget": spec.budget, "seed": seed_note}
     )
 
-    def sample_under_budget() -> SubnetConfig:
-        try:
-            return sample_within_budget(spec, rng, MAX_TRIES)
-        except SpaceError as exc:
-            raise EvolutionError(f"budget infeasible: {exc}") from exc
+    try:
+        sample = budget_sampler(spec)
+    except SpaceError as exc:
+        raise EvolutionError(f"budget infeasible: {exc}") from exc
 
     def produce(make: Callable[[], SubnetConfig]) -> SubnetConfig:
         for _ in range(MAX_TRIES):
             candidate = make()
             if spec_count(spec, candidate) <= spec.budget:
                 return candidate
-        log.debug("production capped out; falling back to a budget-shrunk sample")
-        return sample_under_budget()
+        log.debug("production capped out; taking a budget sample instead")
+        return sample(rng)
 
     def run_generation(gen: int, batch: list[tuple[str, SubnetConfig]]) -> list[tuple]:
         """Score the batch, record it with the best so far, and return the
@@ -200,7 +196,7 @@ def evolve(
         trace.add_generation(record)
         return ranking
 
-    batch = [("init", sample_under_budget()) for _ in range(schedule.initial_population)]
+    batch = [("init", sample(rng)) for _ in range(schedule.initial_population)]
     ranking = run_generation(0, batch)
     for gen in range(1, schedule.generations + 1):
         parents = [SubnetConfig.decode(enc) for enc, _, _ in ranking[: schedule.parent_count]]
@@ -219,7 +215,7 @@ def evolve(
                 return mutate(parent, spec, schedule.mutation_prob, rng)
             batch.append(("mutation", produce(mut)))
         for _ in range(schedule.per_gen_random):
-            batch.append(("random", sample_under_budget()))
+            batch.append(("random", sample(rng)))
         ranking = run_generation(gen, batch)
     best = trace.generations[-1]["best_so_far"]
     log.info("search done: best %s fitness %.4f (%d params)",

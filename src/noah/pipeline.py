@@ -153,14 +153,18 @@ def _train_fixed(
 
 
 def matched_budget_single_module(spec: S.SearchSpaceSpec, module: str) -> tuple[int, int]:
-    """Largest (dim, depth) single-module design that fits the budget,
-    preferring full depth like the hand-designed baselines."""
-    for depth in range(spec.num_layers, 0, -1):
-        for dim in sorted(spec.dim_choices[module], reverse=True):
-            cfg = S.SubnetConfig.uniform(module, dim, depth, spec.num_layers)
-            if S.spec_count(spec, cfg) <= spec.budget:
-                return dim, depth
-    raise ConfigError(f"budget {spec.budget} admits no {module} design")
+    """The (dim, depth) single-module design in the space with the most
+    parameters within the budget; a tie goes to the deeper design."""
+    designs = [
+        (depth * S.module_layer_params(module, dim, spec.embed_dim), depth, dim)
+        for depth in spec.depth_choices
+        for dim in spec.dim_choices[module]
+    ]
+    fitting = [design for design in designs if design[0] <= spec.budget]
+    if not fitting:
+        raise ConfigError(f"budget {spec.budget} admits no {module} design")
+    _, depth, dim = max(fitting)
+    return dim, depth
 
 
 def baseline_stage(

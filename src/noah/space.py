@@ -9,7 +9,10 @@ a module can vanish from individual layers.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -85,13 +88,8 @@ class SubnetConfig:
         """Single fixed module at one dimension through ``depth`` layers."""
         if module not in MODULES:
             raise SpaceError(f"unknown module {module!r}")
-        genes = {}
-        for m in MODULES:
-            if m == module:
-                dims = tuple(dim if i < depth else 0 for i in range(num_layers))
-                genes[m] = ModuleGene(depth, dims)
-            else:
-                genes[m] = ModuleGene(0, (0,) * num_layers)
+        genes = {m: ModuleGene(0, (0,) * num_layers) for m in MODULES}
+        genes[module] = ModuleGene(depth, (dim,) * depth + (0,) * (num_layers - depth))
         return SubnetConfig(**genes)
 
 
@@ -112,17 +110,19 @@ class SearchSpaceSpec:
     def __post_init__(self):
         if self.num_layers <= 0:
             raise SpaceError("num_layers must be positive")
-        if not self.depth_choices or max(self.depth_choices) > self.num_layers:
+        named = {"depth choices": self.depth_choices}
+        named.update({f"dim choices for {m}": self.dim_choices.get(m) for m in MODULES})
+        for what, values in named.items():
+            if not values:
+                raise SpaceError(f"missing {what}")
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
+                raise SpaceError(f"{what} must be integers, got {list(values)}")
+            if min(values) <= 0:
+                raise SpaceError(f"{what} must be positive (0 is implicit)")
+        if max(self.depth_choices) > self.num_layers:
             raise SpaceError(
                 f"depth choices {self.depth_choices} exceed num_layers {self.num_layers}"
             )
-        if any(d <= 0 for d in self.depth_choices):
-            raise SpaceError("depth choices must be positive (0 is implicit)")
-        for m in MODULES:
-            if m not in self.dim_choices or not self.dim_choices[m]:
-                raise SpaceError(f"missing dim choices for {m}")
-            if any(d <= 0 for d in self.dim_choices[m]):
-                raise SpaceError(f"dim choices for {m} must be positive (0 is implicit)")
         if self.budget < 0:
             raise SpaceError("budget must be non-negative")
 
@@ -159,12 +159,8 @@ def module_layer_params(module: str, dim: int, embed_dim: int) -> int:
 
 def count_params(config: SubnetConfig, embed_dim: int) -> int:
     """Exact trainable prompt-parameter count; the head is not counted."""
-    total = 0
-    for m in MODULES:
-        g = config.gene(m)
-        for layer in range(g.depth):
-            total += module_layer_params(m, g.dims[layer], embed_dim)
-    return total
+    return sum(module_layer_params(m, config.active_dim(m, layer), embed_dim)
+               for m in MODULES for layer in range(config.num_layers))
 
 
 def spec_count(spec: SearchSpaceSpec, config: SubnetConfig) -> int:
@@ -200,23 +196,14 @@ def validate(config: SubnetConfig, spec: SearchSpaceSpec) -> list[Violation]:
                     )
             elif dim not in allowed:
                 out.append(Violation("dim_choice", f"{m}: dim {dim} at layer {i} not allowed"))
-    if not out and spec_count(spec, config) > spec.budget:
-        out.append(
-            Violation(
-                "over_budget",
-                f"{spec_count(spec, config)} params exceed budget {spec.budget}",
-            )
-        )
+    if not out and (count := spec_count(spec, config)) > spec.budget:
+        out.append(Violation("over_budget", f"{count} params exceed budget {spec.budget}"))
     return out
 
 
 def canonicalize(config: SubnetConfig) -> SubnetConfig:
-    genes = {}
-    for m in MODULES:
-        g = config.gene(m)
-        dims = tuple(d if i < g.depth else 0 for i, d in enumerate(g.dims))
-        genes[m] = ModuleGene(g.depth, dims)
-    return SubnetConfig(**genes)
+    dims = {m: tuple(config.active_dim(m, i) for i in range(config.num_layers)) for m in MODULES}
+    return SubnetConfig(**{m: ModuleGene(config.gene(m).depth, dims[m]) for m in MODULES})
 
 
 # ---------------------------------------------------------------------------
@@ -238,43 +225,56 @@ def sample_uniform(spec: SearchSpaceSpec, rng: np.random.Generator) -> SubnetCon
     return SubnetConfig(**genes)
 
 
-def _shrink_largest_dim(config: SubnetConfig, spec: SearchSpaceSpec) -> SubnetConfig:
-    """Step the single largest dim gene down to the next smaller allowed value."""
-    best = None
+def budget_sampler(spec: SearchSpaceSpec) -> Callable[[np.random.Generator], SubnetConfig]:
+    """Exact sampler of ``sample_uniform`` conditioned on ``spec_count <=
+    spec.budget``: one draw per sample, ``SpaceError`` if nothing fits.
+
+    A module's outcomes are its (depth, dim multiset) pairs, which fix its
+    count, weighted by their share of ``sample_uniform``'s draws. Modules are
+    drawn in turn, each outcome weighted by its probability times that of the
+    later modules fitting the budget left; the multiset's order is uniform.
+    """
+    tables = []  # per module: counts (ascending), probabilities, in-depth dims
     for m in MODULES:
-        g = config.gene(m)
-        for i in range(g.depth):
-            if g.dims[i] > 0 and (best is None or g.dims[i] > best[2]):
-                best = (m, i, g.dims[i])
-    if best is None:
-        return config
-    m, i, dim = best
-    ladder = sorted(spec.dim_gene_choices(m))
-    smaller = [v for v in ladder if v < dim]
-    new_dim = smaller[-1] if smaller else 0
-    g = config.gene(m)
-    dims = tuple(new_dim if j == i else d for j, d in enumerate(g.dims))
-    genes = {name: config.gene(name) for name in MODULES}
-    genes[m] = ModuleGene(g.depth, dims)
-    return SubnetConfig(**genes)
+        choices, k = spec.dim_choices[m], len(spec.dim_choices[m])
+        outcomes = sorted(
+            (sum(module_layer_params(m, choices[i], spec.embed_dim) for i in combo),
+             math.factorial(depth) / math.prod(math.factorial(combo.count(i)) for i in range(k))
+             / k**depth / len(spec.depth_choices),
+             tuple(choices[i] for i in combo))
+            for depth in spec.depth_choices
+            for combo in itertools.combinations_with_replacement(range(k), depth)
+        )
+        counts, probs, dims = zip(*outcomes)
+        tables.append((np.array(counts), np.array(probs), dims))
+    smallest = sum(int(counts[0]) for counts, _, _ in tables)
+    if smallest > spec.budget:
+        raise SpaceError(f"no config fits budget {spec.budget}: the smallest has {smallest} params")
+    last_cdf = np.concatenate(([0.0], np.cumsum(tables[-1][1])))
 
+    def fits(j: int, room):
+        """Probability that modules ``j``.. fit in ``room``, elementwise. The
+        last module's CDF stands in for its axis, so no product is built."""
+        if j == len(tables):
+            return room >= 0
+        counts, probs, _ = tables[j]
+        if j == len(tables) - 1:
+            return last_cdf[np.searchsorted(counts, room, side="right")]
+        return (probs * fits(j + 1, room[..., None] - counts)).sum(-1)
 
-def sample_within_budget(
-    spec: SearchSpaceSpec, rng: np.random.Generator, max_tries: int = 100
-) -> SubnetConfig:
-    """Rejection-sample under the budget; after ``max_tries`` failures, shrink
-    the largest dim gene of the last draw until it fits."""
-    config = None
-    for _ in range(max_tries):
-        config = sample_uniform(spec, rng)
-        if spec_count(spec, config) <= spec.budget:
-            return config
-    while spec_count(spec, config) > spec.budget:
-        shrunk = _shrink_largest_dim(config, spec)
-        if shrunk == config:
-            raise SpaceError(f"no config fits budget {spec.budget}")
-        config = shrunk
-    return config
+    first = tables[0][1] * fits(1, spec.budget - tables[0][0])
+
+    def sample(rng: np.random.Generator) -> SubnetConfig:
+        room, genes = spec.budget, {}
+        for j, (m, (counts, probs, dims)) in enumerate(zip(MODULES, tables)):
+            weights = first if j == 0 else probs * fits(j + 1, room - counts)
+            i = rng.choice(len(weights), p=weights / weights.sum())
+            layers = tuple(int(d) for d in rng.permutation(dims[i]))
+            genes[m] = ModuleGene(len(layers), layers + (0,) * (spec.num_layers - len(layers)))
+            room -= int(counts[i])
+        return SubnetConfig(**genes)
+
+    return sample
 
 
 def crossover(a: SubnetConfig, b: SubnetConfig, rng: np.random.Generator) -> SubnetConfig:

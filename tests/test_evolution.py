@@ -131,6 +131,12 @@ class TestEvolve:
             hits += toy_fitness(best) >= cutoff
         assert hits >= 4
 
+    def test_infeasible_budget_raises_before_any_fitness_call(self):
+        calls = []
+        with pytest.raises(E.EvolutionError, match="budget infeasible: no config fits budget 100"):
+            E.evolve(calls.append, toy_spec(budget=100), small_schedule(), np.random.default_rng(6))
+        assert calls == []
+
     def test_tie_break_prefers_fewer_params(self):
         spec = toy_spec()
         best, trace = E.evolve(

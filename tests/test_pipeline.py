@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -80,6 +81,10 @@ class TestConfig:
                 ("pretrain.batch_size", 0, "base_lr and batch_size must be positive"),
                 ("pretrain.base_lr", -1, "base_lr and batch_size must be positive"),
                 ("pretrain.num_classes", 1, "num_classes must be at least 2, got 1"),
+                ("runtime.debug_validation", "false",
+                 "debug_validation must be true or false, got 'false'"),
+                ("runtime.retrain_from_scratch", 1,
+                 "retrain_from_scratch must be true or false, got 1"),
             ]
         ],
     )
@@ -106,6 +111,10 @@ class TestConfig:
             ({"dim_choices": []}, "missing dim choices for adapter"),
             ({"dim_choices": {"adapter": [1], "lora": [], "vpt": [1]}},
              "missing dim choices for lora"),
+            ({"depth_choices": [1.5]}, r"depth choices must be integers, got \[1.5\]"),
+            ({"depth_choices": [True]}, r"depth choices must be integers, got \[True\]"),
+            ({"dim_choices": [True, 2.5]},
+             r"dim choices for adapter must be integers, got \[True, 2.5\]"),
         ],
     )
     def test_bad_search_space_rejected_at_load(self, values, cause):
@@ -129,6 +138,31 @@ class TestStages:
         }
         assert len(log) == run.subnet_hyper.total_epochs
         assert all(0.0 <= r["val_acc"] <= 1.0 for r in log)
+
+    @pytest.mark.parametrize("module", S.MODULES)
+    def test_matched_baseline_is_largest_fit(self, module):
+        """Over every budget of a small spec, the matched design has the most
+        parameters of any fitting single-module design, ties to the deeper."""
+        base = S.SearchSpaceSpec(3, (1, 2, 3), {m: (1, 2, 4) for m in S.MODULES}, embed_dim=4)
+        designs = {
+            (dim, depth): S.spec_count(base, S.SubnetConfig.uniform(module, dim, depth, 3))
+            for dim in (1, 2, 4) for depth in (1, 2, 3)
+        }
+        for budget in range(min(designs.values()), max(designs.values()) + 1):
+            spec = dataclasses.replace(base, budget=budget)
+            dim, depth = P.matched_budget_single_module(spec, module)
+            fitting = [(count, d) for (_, d), count in designs.items() if count <= budget]
+            assert (designs[dim, depth], depth) == max(fitting)
+        with pytest.raises(ConfigError, match=f"admits no {module} design"):
+            P.matched_budget_single_module(
+                dataclasses.replace(base, budget=min(designs.values()) - 1), module)
+
+    def test_matched_baseline_default_budget(self):
+        spec = S.SearchSpaceSpec(4, budget=1517)
+        matched = {m: P.matched_budget_single_module(spec, m) for m in S.MODULES}
+        assert matched == {"adapter": (5, 2), "lora": (5, 1), "vpt": (5, 4)}
+        counts = [S.spec_count(spec, S.SubnetConfig.uniform(m, *matched[m], 4)) for m in S.MODULES]
+        assert counts == [1418, 1280, 1280]
 
     def test_retrain_from_scratch(self):
         run, dataset = tiny_run()

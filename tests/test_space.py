@@ -1,4 +1,7 @@
+import collections
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -177,19 +180,70 @@ class TestValidate:
         assert "depth_choice" in codes
 
 
-class TestBudgetSampling:
-    def test_never_over_budget(self):
-        spec = desk_spec(budget=1500)
-        rng = np.random.default_rng(6)
-        for _ in range(200):
-            cfg = S.sample_within_budget(spec, rng)
-            assert S.spec_count(spec, cfg) <= spec.budget
+def conditional_distribution(spec):
+    """Probability of each encoding under ``sample_uniform`` given that it
+    fits the budget, by enumerating every draw ``sample_uniform`` can make."""
+    per_module = []
+    for m in S.MODULES:
+        choices = spec.dim_choices[m]
+        per_module.append([
+            (S.ModuleGene(depth, within + (0,) * (spec.num_layers - depth)),
+             1 / len(spec.depth_choices) / len(choices) ** depth)
+            for depth in spec.depth_choices
+            for within in itertools.product(choices, repeat=depth)
+        ])
+    weights = collections.Counter()
+    for draw in itertools.product(*per_module):
+        cfg = S.SubnetConfig(*(gene for gene, _ in draw))
+        if S.spec_count(spec, cfg) <= spec.budget:
+            weights[cfg.encode()] += math.prod(p for _, p in draw)
+    total = sum(weights.values())
+    return {enc: w / total for enc, w in weights.items()}
 
-    def test_shrink_fallback_reaches_tight_budget(self):
-        # budget below any single active module layer forces the shrink path
-        spec = desk_spec(budget=10)
-        cfg = S.sample_within_budget(spec, np.random.default_rng(7), max_tries=5)
-        assert S.spec_count(spec, cfg) <= 10
+
+class TestBudgetSampling:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # uneven depth choices; the budget keeps 43% of draws
+            S.SearchSpaceSpec(3, (1, 3), {"adapter": (1, 2), "lora": (1,), "vpt": (1, 2)}, 4, 75),
+            # a repeated dim choice counts twice, as in sample_uniform; 39% kept
+            S.SearchSpaceSpec(3, (1, 3), {"adapter": (1,), "lora": (1, 2), "vpt": (2, 2, 3)}, 4, 80),
+            # every module has two dims; 69% kept
+            S.SearchSpaceSpec(2, (1, 2), {m: (1, 2) for m in S.MODULES}, 4, 80),
+        ],
+        ids=["depths-1-3", "repeated-dim", "two-layers"],
+    )
+    def test_matches_enumerated_conditional(self, spec):
+        """Frequencies follow sample_uniform restricted to the budget."""
+        from scipy.stats import chisquare
+
+        expected = conditional_distribution(spec)
+        sample = S.budget_sampler(spec)
+        rng = np.random.default_rng(14)
+        n = 4000
+        counts = collections.Counter(sample(rng).encode() for _ in range(n))
+        assert set(counts) <= set(expected)
+        encodings = sorted(expected)
+        f_exp = np.array([expected[enc] * n for enc in encodings])
+        assert f_exp.min() >= 5  # the chi-square approximation holds
+        assert chisquare([counts[enc] for enc in encodings], f_exp).pvalue > 0.01
+
+    def test_default_spec_draws_validate(self):
+        spec = desk_spec(budget=1517)
+        sample = S.budget_sampler(spec)
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            assert S.validate(sample(rng), spec) == []
+
+    def test_minimum_budget_samples_and_one_below_raises(self):
+        smallest = S.SubnetConfig(*(S.ModuleGene(1, (1, 0, 0, 0)) for _ in S.MODULES))
+        minimum = S.spec_count(desk_spec(), smallest)
+        sample = S.budget_sampler(desk_spec(budget=minimum))
+        rng = np.random.default_rng(7)
+        assert {sample(rng) for _ in range(20)} == {smallest}
+        with pytest.raises(S.SpaceError, match=f"no config fits budget {minimum - 1}"):
+            S.budget_sampler(desk_spec(budget=minimum - 1))
 
 
 # ---------------------------------------------------------------------------
