@@ -111,18 +111,17 @@ def init_backbone(cfg: BackboneConfig, rng: np.random.Generator) -> dict[str, Te
         w[p + "mlp.b2"] = zeros(d)
     w["backbone.norm.gamma"] = ones(d)
     w["backbone.norm.beta"] = zeros(d)
-    w["head.w"] = normal(d, cfg.num_classes)
-    w["head.b"] = zeros(cfg.num_classes)
+    reinit_head(w, cfg, rng)
     return w
 
 
-def reinit_head(weights: dict[str, Tensor], cfg: BackboneConfig, num_classes: int,
-                rng: np.random.Generator) -> None:
+def reinit_head(weights: dict[str, Tensor], cfg: BackboneConfig, rng: np.random.Generator) -> None:
+    """A fresh trainable head for ``cfg.num_classes`` classes."""
     weights["head.w"] = Tensor(
-        rng.normal(0.0, 0.02, (cfg.embed_dim, num_classes)).astype(np.float32),
+        rng.normal(0.0, 0.02, (cfg.embed_dim, cfg.num_classes)).astype(np.float32),
         requires_grad=True,
     )
-    weights["head.b"] = Tensor(np.zeros(num_classes, np.float32), requires_grad=True)
+    weights["head.b"] = Tensor(np.zeros(cfg.num_classes, np.float32), requires_grad=True)
 
 
 def freeze_backbone(weights: dict[str, Tensor]) -> None:
@@ -280,31 +279,3 @@ def model_forward(
     for i in range(cfg.num_layers):
         x = block_forward(x, i, weights, cfg, prompts)
     return readout(weights, cfg, x)
-
-
-def pseudo_pretrain(
-    weights: dict[str, Tensor],
-    cfg: BackboneConfig,
-    images_u8: np.ndarray,
-    labels: np.ndarray,
-    hyper,
-    rng: np.random.Generator,
-) -> list[dict]:
-    """Stand-in for large-scale pretraining: briefly train the full backbone
-    and head on a synthetic base task, then freeze everything but the head.
-    The base task must match the backbone's configured class count."""
-    from .data import channel_stats, normalize_images
-    from .optim import AdamW, run_training
-
-    mean, std = channel_stats(images_u8)
-    images = normalize_images(images_u8, mean, std)
-    labels = labels.astype(np.int64)
-    optimizer = AdamW(weights, hyper)
-
-    def step_fn(idx, step):
-        logits = model_forward(weights, cfg, images[idx])
-        return T.cross_entropy(logits, labels[idx]), None
-
-    log = run_training(optimizer, step_fn, len(labels), hyper, rng)
-    freeze_backbone(weights)
-    return log

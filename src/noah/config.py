@@ -1,5 +1,10 @@
 """Run configuration: one JSON document drives every pipeline stage.
 
+Where a stage takes one settings type, the section is that type:
+``supernet_hyper`` and ``subnet_hyper`` are ``optim.OptimHyper``, ``evolution``
+is ``evolution.EvolutionSchedule``. ``pretrain.to_hyper`` builds the
+``OptimHyper`` of the pretraining run, which is a ``train_model`` run too.
+
 Unknown keys are rejected up front so typos fail before any work starts, and
 every command writes the fully resolved document (defaults filled in) next to
 its outputs.
@@ -61,7 +66,8 @@ class PretrainSection:
         self.to_hyper()  # OptimHyper raises on bad values
 
     def to_hyper(self) -> OptimHyper:
-        return _optim_hyper(self, self.epochs)
+        return OptimHyper(self.base_lr, self.epochs, self.weight_decay, self.warmup_epochs,
+                          self.batch_size)
 
 
 @dataclass
@@ -85,27 +91,6 @@ class SpaceSection:
 
 
 @dataclass
-class HyperSection:
-    base_lr: float
-    total_epochs: int
-    weight_decay: float = 1e-3
-    warmup_epochs: int = 10
-    batch_size: int = 64
-
-    def __post_init__(self):
-        self.to_hyper()  # OptimHyper raises on bad values
-
-    def to_hyper(self) -> OptimHyper:
-        return _optim_hyper(self, self.total_epochs)
-
-
-def _optim_hyper(section, epochs: int) -> OptimHyper:
-    """A pretrain or hyper section's optimizer settings, warmup clamped to ``epochs``."""
-    return OptimHyper(section.base_lr, epochs, section.weight_decay,
-                      min(section.warmup_epochs, epochs), section.batch_size)
-
-
-@dataclass
 class RuntimeSection:
     debug_validation: bool = False
     retrain_from_scratch: bool = False
@@ -122,11 +107,11 @@ class RunConfig:
     backbone: BackboneSection = field(default_factory=BackboneSection)
     pretrain: PretrainSection = field(default_factory=PretrainSection)
     search_space: SpaceSection = field(default_factory=SpaceSection)
-    supernet_hyper: HyperSection = field(
-        default_factory=lambda: HyperSection(base_lr=5e-4, total_epochs=100)
+    supernet_hyper: OptimHyper = field(
+        default_factory=lambda: OptimHyper(base_lr=5e-4, total_epochs=100)
     )
-    subnet_hyper: HyperSection = field(
-        default_factory=lambda: HyperSection(base_lr=1e-3, total_epochs=100)
+    subnet_hyper: OptimHyper = field(
+        default_factory=lambda: OptimHyper(base_lr=1e-3, total_epochs=100)
     )
     evolution: EvolutionSchedule = field(default_factory=EvolutionSchedule)
     runtime: RuntimeSection = field(default_factory=RuntimeSection)
@@ -143,8 +128,8 @@ _SECTIONS = {
     "backbone": BackboneSection,
     "pretrain": PretrainSection,
     "search_space": SpaceSection,
-    "supernet_hyper": HyperSection,
-    "subnet_hyper": HyperSection,
+    "supernet_hyper": OptimHyper,
+    "subnet_hyper": OptimHyper,
     "evolution": EvolutionSchedule,
     "runtime": RuntimeSection,
     "dataset": DatasetSection,

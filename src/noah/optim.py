@@ -1,5 +1,7 @@
-"""AdamW with decoupled weight decay, cosine LR schedule, and the shared
-minibatch training loop.
+"""AdamW with decoupled weight decay, cosine LR schedule, and the minibatch
+epoch loop under ``supernet.train_model``, which runs every training stage.
+``OptimHyper`` is one stage's settings: the ``supernet_hyper`` and
+``subnet_hyper`` config sections, and what ``pretrain.to_hyper`` builds.
 
 The optimizer accepts per-step index regions so that a training step touches
 only the parameter slices the sampled subnet actually used. Moments and step
@@ -27,28 +29,26 @@ class ScheduleError(ValueError):
     pass
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
 @dataclass
 class OptimHyper:
+    """One training stage's settings; ``warmup_epochs`` is clamped to
+    ``total_epochs``."""
+
     base_lr: float
     total_epochs: int
     weight_decay: float = 1e-3
     warmup_epochs: int = 10
     batch_size: int = 64
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.base_lr <= 0 or self.total_epochs < 0 or self.batch_size <= 0:
             raise ScheduleError("base_lr and batch_size must be positive, epochs >= 0")
-        if self.warmup_epochs < 0 or self.warmup_epochs > self.total_epochs:
-            raise ScheduleError(
-                f"warmup_epochs {self.warmup_epochs} outside [0, {self.total_epochs}]"
-            )
-        if self.weight_decay < 0 or self.eps <= 0:
-            raise ScheduleError("weight_decay must be >= 0 and eps > 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ScheduleError("betas must be in [0, 1)")
+        if self.warmup_epochs < 0 or self.weight_decay < 0:
+            raise ScheduleError("warmup_epochs and weight_decay must be >= 0")
+        self.warmup_epochs = min(self.warmup_epochs, self.total_epochs)
 
 
 def lr_at(step: int, total_steps: int, hyper: OptimHyper) -> float:
@@ -106,15 +106,15 @@ class AdamW:
             g = p.grad[region]
             self.t[name][region] += 1
             t = self.t[name][region]
-            m = hp.beta1 * self.m[name][region] + (1.0 - hp.beta1) * g
-            v = hp.beta2 * self.v[name][region] + (1.0 - hp.beta2) * g * g
+            m = BETA1 * self.m[name][region] + (1.0 - BETA1) * g
+            v = BETA2 * self.v[name][region] + (1.0 - BETA2) * g * g
             self.m[name][region] = m
             self.v[name][region] = v
-            m_hat = m / (1.0 - hp.beta1**t)
-            v_hat = v / (1.0 - hp.beta2**t)
+            m_hat = m / (1.0 - BETA1**t)
+            v_hat = v / (1.0 - BETA2**t)
             if hp.weight_decay != 0.0 and self.decay[name]:
                 p.data[region] *= 1.0 - lr * hp.weight_decay
-            p.data[region] -= lr * m_hat / (np.sqrt(v_hat) + hp.eps)
+            p.data[region] -= lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def batch_slices(n: int, batch_size: int):
@@ -130,11 +130,12 @@ def run_training(
     rng: np.random.Generator,
     extra_log: Callable[[int], dict] | None = None,
 ) -> list[dict]:
-    """Epoch loop shared by supernet training, retraining and pretraining.
+    """The epoch loop under ``train_model``.
 
     ``step_fn(batch_indices, step)`` runs the forward pass and returns the
-    scalar loss plus the optimizer regions for this step (None = all params).
-    Returns one log record per epoch: {"epoch", "lr", "train_loss", ...}.
+    scalar loss plus the optimizer regions for this step (None = all params),
+    and rejects a non-finite loss, as ``train_model``'s does. Returns one log
+    record per epoch: {"epoch", "lr", "train_loss", ...}.
     """
     n = num_samples
     if n == 0:
@@ -150,13 +151,10 @@ def run_training(
         for lo, hi in batch_slices(n, hyper.batch_size):
             lr = lr_at(step, total_steps, hyper)
             loss, regions = step_fn(order[lo:hi], step)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise TrainingDivergedError(f"non-finite loss at step {step}")
             backward(loss)
             optimizer.step(lr, regions)
             optimizer.zero_grad()
-            losses.append(value)
+            losses.append(loss.item())
             step += 1
         record = {"epoch": epoch, "lr": lr, "train_loss": float(np.mean(losses))}
         if extra_log is not None:

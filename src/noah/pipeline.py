@@ -2,10 +2,11 @@
 
 Each stage is a plain function over (RunConfig, Dataset, seeds) so the CLI,
 the tests, and notebook use all share one code path. Every stage builds or
-takes a ``PromptedModel``: the supernet, a subnet extracted from it, or a
-freshly initialized subnet. Training goes through ``train_model`` and every
-accuracy through ``evaluate``, so a checkpoint's reloaded accuracy is the
-one the stage logged.
+takes a ``PromptedModel``: the pretraining backbone, the supernet, a subnet
+extracted from it, or a freshly initialized subnet. Every training stage,
+pretraining included, is one ``train_model`` run and every accuracy goes
+through ``evaluate``, so a checkpoint's reloaded accuracy is the one the
+stage logged.
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ import logging
 import numpy as np
 
 from . import space as S
-from .backbone import (
-    BACKBONE_PREFIX, BackboneConfig, freeze_backbone, init_backbone, pseudo_pretrain, reinit_head,
-)
+from .backbone import BACKBONE_PREFIX, BackboneConfig, freeze_backbone, init_backbone, reinit_head
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig
-from .data import Dataset, gen_mixed_base_task
+from .data import Dataset, channel_stats, gen_mixed_base_task, normalize_images
 from .evolution import SearchTrace, evolve
 from .prompts import bank_regions
 from .supernet import (
@@ -62,24 +61,32 @@ def search_spec(run: RunConfig, weights: dict[str, Tensor]) -> S.SearchSpaceSpec
     return sp.to_spec(run.backbone.num_layers, run.backbone.embed_dim, budget)
 
 
-def build_frozen_backbone(run: RunConfig, cfg: BackboneConfig) -> tuple[dict, list[dict]]:
-    """Initialize, pseudo-pretrain on the mixed synthetic base task, freeze,
-    and re-point the head at the downstream class count."""
+def build_frozen_backbone(
+    run: RunConfig, cfg: BackboneConfig
+) -> tuple[dict[str, Tensor], S.SearchSpaceSpec, list[dict]]:
+    """Initialize, pretrain on the mixed synthetic base task (images
+    normalized by their own channel stats) as a model with no prompt
+    tensors, freeze, and re-point the head at the downstream class count.
+    Returns the weights, the search spec and the pretraining log."""
     pt = run.pretrain
     rng = np.random.default_rng(pt.seed)
     pre_cfg = dataclasses.replace(cfg, num_classes=pt.num_classes)
     weights = init_backbone(pre_cfg, rng)
+    spec = search_spec(run, weights)
     pretrain_log: list[dict] = []
     if pt.epochs > 0:
         images, labels = gen_mixed_base_task(
             pt.num_classes, pt.samples, pt.seed, cfg.image_shape, pt.noise
         )
-        log.info("pseudo-pretraining backbone: %d samples, %d epochs", len(labels), pt.epochs)
-        pretrain_log = pseudo_pretrain(weights, pre_cfg, images, labels, pt.to_hyper(), rng)
-    else:
-        freeze_backbone(weights)
-    reinit_head(weights, cfg, cfg.num_classes, rng)
-    return weights, pretrain_log
+        log.info("pretraining backbone: %d samples, %d epochs", len(labels), pt.epochs)
+        empty = S.SubnetConfig.empty(cfg.num_layers)
+        pretrain_log = train_model(
+            PromptedModel(pre_cfg, spec, weights), normalize_images(images, *channel_stats(images)),
+            labels.astype(np.int64), pt.to_hyper(), rng, lambda: empty,
+        )
+    freeze_backbone(weights)
+    reinit_head(weights, cfg, rng)
+    return weights, spec, pretrain_log
 
 
 def train_supernet_stage(
@@ -87,8 +94,11 @@ def train_supernet_stage(
 ) -> tuple[PromptedModel, dict[str, list[dict]]]:
     with debug_validation(run.runtime.debug_validation):
         cfg = backbone_config(run, dataset)
-        weights, pretrain_log = build_frozen_backbone(run, cfg)
-        spec = search_spec(run, weights)
+        weights, spec, pretrain_log = build_frozen_backbone(run, cfg)
+        try:  # fail before supernet training if not even the smallest config fits
+            S.budget_sampler(spec)
+        except S.SpaceError as exc:
+            raise ConfigError(f"search_space: {exc}") from exc
         rng = np.random.default_rng(run.seed)
         sn = build_supernet(weights, cfg, spec, rng)
         images, labels = dataset.normalized("train")
@@ -97,7 +107,7 @@ def train_supernet_stage(
             spec.budget, len(labels), run.supernet_hyper.total_epochs,
         )
         train_log = train_model(
-            sn, images, labels, run.supernet_hyper.to_hyper(), rng,
+            sn, images, labels, run.supernet_hyper, rng,
             lambda: S.sample_uniform(spec, rng),
         )
     return sn, {"pretrain": pretrain_log, "train": train_log}
@@ -147,7 +157,7 @@ def _train_fixed(
 ) -> list[dict]:
     images, labels = dataset.normalized("train")
     return train_model(
-        model, images, labels, run.subnet_hyper.to_hyper(), rng, lambda: config,
+        model, images, labels, run.subnet_hyper, rng, lambda: config,
         val=dataset.normalized("val"),
     )
 
@@ -173,14 +183,11 @@ def baseline_stage(
     module: str,
     dim: int | None = None,
     depth: int | None = None,
-    backbone_weights: dict | None = None,
 ) -> tuple[PromptedModel, list[dict], S.SubnetConfig]:
     """Train one fixed prompt module from scratch on the frozen backbone."""
     with debug_validation(run.runtime.debug_validation):
         cfg = backbone_config(run, dataset)
-        if backbone_weights is None:
-            backbone_weights, _ = build_frozen_backbone(run, cfg)
-        spec = search_spec(run, backbone_weights)
+        backbone_weights, spec, _ = build_frozen_backbone(run, cfg)
         if dim is None or depth is None:
             auto_dim, auto_depth = matched_budget_single_module(spec, module)
             dim = dim if dim is not None else auto_dim

@@ -8,7 +8,9 @@ updates only the bank prefixes that subnet touched (plus the always-trainable
 classifier head). Any subnet can then be evaluated with inherited weights, or
 extracted into a model of the same type whose exact-size tensors reproduce
 the supernet forward bit for bit. A retrained or baseline subnet is the same
-type again, trained by the same ``train_model`` on a fixed config.
+type again, trained by the same ``train_model`` on a fixed config. So is the
+backbone while it pretrains: a model with no prompt tensors whose every
+weight trains, on the empty config.
 
 Evaluation scores a whole list of subnets at once. The hidden state entering
 layer l depends only on the embedding and on the per-layer genes of layers
@@ -43,13 +45,14 @@ from . import tensor as T
 from .backbone import BACKBONE_PREFIX, HEAD_NAMES, BackboneConfig, model_forward
 from .optim import AdamW, OptimHyper, TrainingDivergedError, batch_slices, full_region, run_training
 from .prompts import PromptContext, bank_regions, init_subnet_tensors
-from .space import SearchSpaceSpec, SubnetConfig
+from .space import MODULES, SearchSpaceSpec, SubnetConfig
 from .tensor import Tensor
 
 
 @dataclass
 class PromptedModel:
-    """Frozen backbone plus prompt tensors and a classifier head.
+    """Frozen backbone plus prompt tensors and a classifier head (while it
+    pretrains, a trainable backbone and head with no prompt tensors).
 
     The prompt tensors are the supernet's full-size banks or one subnet's
     exact-size tensors, both laid out by ``prompts.LAYOUT`` and read through
@@ -59,7 +62,7 @@ class PromptedModel:
 
     cfg: BackboneConfig
     spec: SearchSpaceSpec
-    weights: dict[str, Tensor]  # backbone.* frozen; prompt tensors and head trainable
+    weights: dict[str, Tensor]  # backbone.* frozen after pretraining; the rest trainable
 
     def context(self, config: SubnetConfig) -> PromptContext:
         return PromptContext(self.weights, config)
@@ -82,12 +85,16 @@ def build_supernet(
     return fresh_subnet(backbone_weights, cfg, spec, spec.full_config(), rng)
 
 
-def training_regions(config: SubnetConfig, weights: dict[str, Tensor]) -> dict[str, tuple]:
-    """Bank prefixes named by the config, plus the full head."""
-    regions = bank_regions(config)
-    for name in HEAD_NAMES:
-        regions[name] = full_region(weights[name])
-    return regions
+def training_regions(model: PromptedModel) -> Callable[[SubnetConfig], dict[str, tuple]]:
+    """The regions a training step on a config updates: the full region of
+    every trainable tensor that is not a prompt tensor (the head, plus the
+    whole backbone while it pretrains), worked out here once, and the bank
+    prefixes the config names."""
+    fixed = {
+        name: full_region(t) for name, t in model.trainable().items()
+        if name.partition(".")[0] not in MODULES
+    }
+    return lambda config: {**bank_regions(config), **fixed}
 
 
 def train_model(
@@ -99,14 +106,17 @@ def train_model(
     next_config: Callable[[], SubnetConfig],
     val: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[dict]:
-    """Train the model's prompt tensors and head on one config per
-    optimization step, shared across the batch, updating only the regions
-    that config touched. ``next_config`` is called once per step: pass
-    ``lambda: sample_uniform(model.spec, rng)`` for supernet training and
-    ``lambda: config`` to (re)train a fixed architecture. Log records carry
-    the per-epoch loss, the encoded config of every step (``configs``) and,
-    with ``val``, the validation accuracy of the epoch's last config."""
+    """Train the model's trainable tensors on one config per optimization
+    step, shared across the batch, updating only the regions that config
+    touched (see ``training_regions``). ``next_config`` is called once per
+    step: pass ``lambda: sample_uniform(model.spec, rng)`` for supernet
+    training, ``lambda: config`` to (re)train a fixed architecture, and the
+    empty config to pretrain a backbone. A non-finite loss raises
+    ``TrainingDivergedError`` naming the step and its config. Log records
+    carry the per-epoch loss, the encoded config of every step (``configs``)
+    and, with ``val``, the validation accuracy of the epoch's last config."""
     optimizer = AdamW(model.trainable(), hyper)
+    regions = training_regions(model)
     sampled: list[str] = []
     config: SubnetConfig | None = None
 
@@ -119,7 +129,7 @@ def train_model(
             raise TrainingDivergedError(
                 f"non-finite loss at step {step} with config {config.encode()}"
             )
-        return loss, training_regions(config, model.weights)
+        return loss, regions(config)
 
     def extra_log(epoch):
         record = {"configs": list(sampled)}

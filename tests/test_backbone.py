@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -343,7 +346,7 @@ class TestModelGradients:
             assert err < 1e-4, f"{n}: max relative error {err:.2e}"
 
     def test_unfrozen_attention_projections(self):
-        # the pseudo-pretraining path: gradients reach wq/wk/wv through the fused projection
+        # the pretraining path: gradients reach wq/wk/wv through the fused projection
         weights, loss_fn = self.build(SubnetConfig.empty(2), frozen=False)
         self.check(weights, loss_fn, [f"backbone.L0.attn.{n}" for n in ("wq", "wk", "wv", "bq")])
 
@@ -406,3 +409,17 @@ class TestFrozenContract:
         T.backward(loss)
         assert all(t.grad is None for n, t in w.items() if n.startswith("backbone."))
         assert w["head.w"].grad is not None
+
+
+def test_backbone_is_model_code_only():
+    """backbone.py holds the model alone: no training, data or pipeline code."""
+    tree = ast.parse(Path(B.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.ImportFrom):  # from . import x
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {"optim", "data", "supernet", "pipeline"}, sorted(imported)

@@ -14,8 +14,11 @@ from noah import supernet as SN
 from noah import tensor as T
 from noah.cli import main
 from noah.config import ConfigError, config_from_dict, load_run_config
-from noah.data import gen_synthetic, save_dataset
+from noah.data import (
+    channel_stats, gen_mixed_base_task, gen_synthetic, normalize_images, save_dataset,
+)
 from noah.evolution import SearchTrace
+from noah.optim import AdamW, run_training
 
 from gradcheck import records_graph
 
@@ -164,6 +167,46 @@ class TestStages:
         counts = [S.spec_count(spec, S.SubnetConfig.uniform(m, *matched[m], 4)) for m in S.MODULES]
         assert counts == [1418, 1280, 1280]
 
+    def test_pretraining_matches_reference_loop(self):
+        """Pretraining is a train_model run of a model with no prompt tensors:
+        bit for bit the plain loop of AdamW over every weight, run_training
+        with regions=None and model_forward without prompts."""
+        run, dataset = tiny_run(pretrain={"epochs": 2, "samples": 96, "num_classes": 6,
+                                          "batch_size": 16, "warmup_epochs": 1})
+        cfg = P.backbone_config(run, dataset)
+        weights, spec, log = P.build_frozen_backbone(run, cfg)
+
+        pt = run.pretrain
+        rng = np.random.default_rng(pt.seed)
+        pre_cfg = dataclasses.replace(cfg, num_classes=pt.num_classes)
+        ref = B.init_backbone(pre_cfg, rng)
+        images, labels = gen_mixed_base_task(pt.num_classes, pt.samples, pt.seed,
+                                             cfg.image_shape, pt.noise)
+        images = normalize_images(images, *channel_stats(images))
+        labels = labels.astype(np.int64)
+
+        def step_fn(idx, step):
+            return T.cross_entropy(B.model_forward(ref, pre_cfg, images[idx]), labels[idx]), None
+
+        ref_log = run_training(AdamW(ref, pt.to_hyper()), step_fn, len(labels), pt.to_hyper(), rng)
+        B.freeze_backbone(ref)
+        B.reinit_head(ref, cfg, rng)
+
+        assert spec == P.search_spec(run, weights)
+        assert [{k: r[k] for k in ("epoch", "lr", "train_loss")} for r in log] == ref_log
+        assert [len(r["configs"]) for r in log] == [6, 6]  # 96 samples / batch 16
+        assert set(weights) == set(ref)
+        for name, t in weights.items():
+            assert t.data.tobytes() == ref[name].data.tobytes(), name
+            assert t.requires_grad == (not name.startswith("backbone.")), name
+        assert weights["head.w"].shape == (cfg.embed_dim, dataset.num_classes)
+
+    def test_infeasible_budget_fails_before_supernet_training(self, monkeypatch):
+        run, dataset = tiny_run(search_space={"budget": 50})
+        monkeypatch.setattr(P, "build_supernet", lambda *a: pytest.fail("supernet built"))
+        with pytest.raises(ConfigError, match="budget 50: the smallest has 129 params"):
+            P.train_supernet_stage(run, dataset)
+
     def test_retrain_from_scratch(self):
         run, dataset = tiny_run()
         scratch_run, _ = tiny_run(runtime={"retrain_from_scratch": True})
@@ -197,9 +240,8 @@ class TestStages:
     def test_config_that_does_not_fit_checkpoint_named(self, tmp_path, encoding, tensor):
         run, dataset = tiny_run()
         cfg = P.backbone_config(run, dataset)
-        backbone, _ = P.build_frozen_backbone(run, cfg)
-        sn = SN.build_supernet(backbone, cfg, P.search_spec(run, backbone),
-                               np.random.default_rng(0))
+        backbone, spec, _ = P.build_frozen_backbone(run, cfg)
+        sn = SN.build_supernet(backbone, cfg, spec, np.random.default_rng(0))
         stored = S.SubnetConfig.decode("A1;1,0|L0;0,0|V0;0,0")
         path = tmp_path / "subnet.noah"
         P.save_model_weights(path, SN.extract_subnet(sn, stored).weights)

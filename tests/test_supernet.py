@@ -104,9 +104,9 @@ class TestTraining:
         opt = AdamW(sn.trainable(), hyper(1))
         loss = T.cross_entropy(sn.forward(images, config), labels)
         T.backward(loss)
-        opt.step(1e-3, SN.training_regions(config, sn.weights))
+        regions = SN.training_regions(sn)(config)
+        opt.step(1e-3, regions)
 
-        regions = SN.training_regions(config, sn.weights)
         for name, arr in before.items():
             now = sn.weights[name].data
             if name.startswith("backbone."):
