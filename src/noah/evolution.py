@@ -117,9 +117,10 @@ class SearchTrace:
         if meta.pop("type", None) != "meta":
             raise EvolutionError(f"{path} does not start with a meta record")
         trace = SearchTrace(meta)
-        for record in records[1:]:
-            if record.pop("type", None) != "generation":
-                raise EvolutionError("unexpected record type in trace")
+        for number, record in enumerate(records[1:], 2):
+            kind = record.pop("type", None)
+            if kind != "generation":
+                raise EvolutionError(f"{path}:{number}: unexpected record type {kind!r} in trace")
             trace.add_generation(record)
         return trace
 
@@ -230,6 +231,8 @@ def evolve(
 def report(trace: SearchTrace, top_k: int = 10) -> tuple[str, dict]:
     """Human-readable summary plus a structured dict: best config, fitness
     curve, and per-module per-layer average dimensions among the final top-k."""
+    if top_k < 1:
+        raise EvolutionError(f"top_k must be >= 1, got {top_k}")
     if not trace.generations:
         raise EvolutionError("empty trace")
     final = trace.generations[-1]["best_so_far"]

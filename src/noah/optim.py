@@ -136,6 +136,10 @@ def run_training(
     scalar loss plus the optimizer regions for this step (None = all params),
     and rejects a non-finite loss, as ``train_model``'s does. Returns one log
     record per epoch: {"epoch", "lr", "train_loss", ...}.
+
+    One step's autodiff graph is alive at a time: the loss, and with it the
+    graph, is dropped once its value is logged, so it is freed before the
+    next forward.
     """
     n = num_samples
     if n == 0:
@@ -155,6 +159,7 @@ def run_training(
             optimizer.step(lr, regions)
             optimizer.zero_grad()
             losses.append(loss.item())
+            del loss  # free this step's graph before the next forward builds one
             step += 1
         record = {"epoch": epoch, "lr": lr, "train_loss": float(np.mean(losses))}
         if extra_log is not None:

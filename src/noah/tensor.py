@@ -1,10 +1,19 @@
 """Dense tensors with tape-based reverse-mode differentiation.
 
 Every tensor wraps a numpy array (float32 for training, float64 for
-gradient-check tests). Operations record a backward closure on their output;
-``backward`` replays the recorded graph in reverse execution order exactly
-once. Tensors are immutable after creation except for gradient accumulation
-into ``.grad``.
+gradient-check tests). An operation that records gives its output a graph
+node: the backward closure, a sequence number, and one entry per input,
+which is the input's own node, the input itself if it is a trainable leaf,
+or None if it needs no gradient. ``backward`` replays the nodes reachable
+from the loss in reverse execution order, each exactly once. Tensors are
+immutable after creation except for gradient accumulation into ``.grad``.
+
+A node never refers to an input tensor that is not a trainable leaf, and a
+closure captures only the arrays its backward reads, plus shapes and
+``requires_grad`` flags. So an activation lives only as long as a backward
+needs it: ``add``, ``concat``, ``expand``, ``reshape`` and ``slice_axis``
+keep no array at all, and ``linear`` and ``mlp`` keep their input rows only
+when their (first) weight needs a gradient.
 
 The hot ops are fused, one tape node each: ``linear`` (one GEMM plus bias
 over all leading axes), ``attention`` (head split, scaled q kT, softmax,
@@ -15,7 +24,7 @@ gradients are taken over all rows at once, one GEMM or sum each. ``gelu``
 and ``layer_norm`` work in place on their own temporaries. The in-place
 rule: an op may write only into arrays it allocated itself. It never writes
 into an input's ``.data``, nor into the incoming gradient ``g`` of its
-backward closure, because ``add`` hands the same array to both parents and
+backward closure, because ``add`` hands the same array to both inputs and
 ``reshape`` passes on a view of it.
 
 ``matmul``, ``softmax`` and ``gelu`` stay only because the benchmark's tracer
@@ -66,11 +75,14 @@ class Tensor:
     """N-dimensional float array with an optional gradient slot.
 
     ``requires_grad`` marks trainable leaves; op outputs require grad iff any
-    input does and recording is enabled. ``.grad`` is allocated lazily on the
-    first backward pass and never allocated for frozen tensors.
+    input does and recording is enabled, and then carry the ``_node`` that
+    records how they were made. The node holds what the backward reads, not
+    this tensor: dropping an activation frees its array unless a backward
+    captured it. ``.grad`` is allocated lazily on the first backward pass and
+    never allocated for frozen tensors.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -79,9 +91,7 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
-        self._seq = next(_SEQ)
+        self._node: Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -99,14 +109,33 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
 
-def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+class Node:
+    """How one op output was made: ``backward`` maps the output's gradient
+    to one gradient (or None) per input, ``seq`` orders nodes by execution,
+    and ``inputs`` holds per input its node, the input itself if it is a
+    trainable leaf, or None if it needs no gradient."""
+
+    __slots__ = ("backward", "seq", "inputs")
+
+    def __init__(self, backward, inputs: tuple):
+        self.backward = backward
+        self.seq = next(_SEQ)
+        self.inputs = inputs
+
+
+def _entry(t: Tensor):
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
+def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     if _DEBUG_VALIDATE and not np.all(np.isfinite(out_data)):
         raise GradientError("non-finite value produced by an operation")
     out = Tensor(out_data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._parents = parents
-        out._backward = backward_fn
+        out._node = Node(backward_fn, tuple(map(_entry, inputs)))
     return out
 
 
@@ -126,11 +155,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    a_shape, a_grad = a.shape, a.requires_grad
+    b_shape, b_grad = b.shape, b.requires_grad
 
     def backward_fn(g):
         return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
+            _unbroadcast(g, a_shape) if a_grad else None,
+            _unbroadcast(g, b_shape) if b_grad else None,
         )
 
     return _make(out, (a, b), backward_fn)
@@ -143,9 +174,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     out = a.data.reshape(shape)
+    a_shape = a.shape
 
     def backward_fn(g):
-        return (g.reshape(a.shape) if a.requires_grad else None,)
+        return (g.reshape(a_shape),)
 
     return _make(out, (a,), backward_fn)
 
@@ -157,11 +189,12 @@ def concat(tensors, axis: int) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    needs = [t.requires_grad for t in tensors]
 
     def backward_fn(g):
         grads = []
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for needed, lo, hi in zip(needs, offsets[:-1], offsets[1:]):
+            if needed:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(int(lo), int(hi))
                 grads.append(np.ascontiguousarray(g[tuple(idx)]))
@@ -184,11 +217,10 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     # contiguous copy so downstream BLAS calls see identical memory layouts
     # whether the operand came from a slice or a standalone array
     out = np.ascontiguousarray(a.data[idx])
+    a_shape, dtype = a.shape, a.data.dtype
 
     def backward_fn(g):
-        if not a.requires_grad:
-            return (None,)
-        full = np.zeros_like(a.data)
+        full = np.zeros(a_shape, dtype)
         full[idx] = g
         return (full,)
 
@@ -199,9 +231,10 @@ def expand(a: Tensor, shape) -> Tensor:
     """Broadcast to ``shape``; backward sums over the broadcast axes."""
     shape = tuple(shape)
     out = np.broadcast_to(a.data, shape)
+    a_shape = a.shape
 
     def backward_fn(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,)
+        return (_unbroadcast(g, a_shape),)
 
     return _make(np.ascontiguousarray(out), (a,), backward_fn)
 
@@ -221,41 +254,50 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2 if b.data.ndim > 1 else 0]:
         raise GradientError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out = a.data @ b.data
+    a_shape, b_shape = a.shape, b.shape
+    # each side's gradient reads the other side's array
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward_fn(g):
         ga = gb = None
-        if a.requires_grad:
-            bt = np.swapaxes(b.data, -1, -2) if b.data.ndim > 1 else b.data[None, :]
-            ga = _unbroadcast(g @ bt, a.shape)
-        if b.requires_grad:
-            at = np.swapaxes(a.data, -1, -2) if a.data.ndim > 1 else a.data[:, None]
-            gb = _unbroadcast(at @ g, b.shape)
+        if b_data is not None:
+            bt = np.swapaxes(b_data, -1, -2) if b_data.ndim > 1 else b_data[None, :]
+            ga = _unbroadcast(g @ bt, a_shape)
+        if a_data is not None:
+            at = np.swapaxes(a_data, -1, -2) if a_data.ndim > 1 else a_data[:, None]
+            gb = _unbroadcast(at @ g, b_shape)
         return (ga, gb)
 
     return _make(out, (a, b), backward_fn)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b): one GEMM over the rows of all leading axes, one tape node."""
+    """x @ w (+ b): one GEMM over the rows of all leading axes, one tape node.
+    The node keeps ``x``'s rows only when ``w`` needs a gradient."""
     if w.data.ndim != 2 or x.data.ndim == 0 or x.shape[-1] != w.shape[0]:
         raise GradientError(f"linear shape mismatch: {x.shape} @ {w.shape}")
     rows = x.data.reshape(-1, x.shape[-1])
     out = rows @ w.data
     if b is not None:
         out += b.data
-    parents = (x, w) if b is None else (x, w, b)
+    inputs = (x, w) if b is None else (x, w, b)
+    x_shape = x.shape
+    w_data = w.data if x.requires_grad else None
+    kept_rows = rows if w.requires_grad else None
+    b_grad = None if b is None else b.requires_grad
 
     def backward_fn(g):
         g2 = g.reshape(-1, g.shape[-1])
         grads = (
-            (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None,
-            rows.T @ g2 if w.requires_grad else None,
+            (g2 @ w_data.T).reshape(x_shape) if w_data is not None else None,
+            kept_rows.T @ g2 if kept_rows is not None else None,
         )
-        if b is not None:
-            grads += (g2.sum(axis=0) if b.requires_grad else None,)
+        if b_grad is not None:
+            grads += (g2.sum(axis=0) if b_grad else None,)
         return grads
 
-    return _make(out.reshape(x.shape[:-1] + (w.shape[1],)), parents, backward_fn)
+    return _make(out.reshape(x.shape[:-1] + (w.shape[1],)), inputs, backward_fn)
 
 
 def attention(qkv: Tensor, heads: int, queries: int | None = None) -> Tensor:
@@ -287,10 +329,11 @@ def attention(qkv: Tensor, heads: int, queries: int | None = None) -> Tensor:
     np.exp(p, out=p)
     p /= np.einsum("...j->...", p)[..., None]
     out = (p @ vh).transpose(0, 2, 1, 3).reshape(b, m, d)
+    dtype = qkv.data.dtype
 
     def backward_fn(g):
         gh = g.reshape(b, m, heads, hd).transpose(0, 2, 1, 3)
-        gqkv = np.empty((b, n, 3, heads, hd), qkv.data.dtype)
+        gqkv = np.empty((b, n, 3, heads, hd), dtype)
         gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
         gv[...] = p.swapaxes(-1, -2) @ gh
         gs = gh @ vh.swapaxes(-1, -2)
@@ -314,17 +357,20 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     Each block of ``MLP_ROWS`` rows runs both GEMMs and the GELU between them
     while its [rows, hidden] temporaries are still in cache. When recording,
     the pre-activation and its tanh are written into saved [rows, hidden]
-    buffers for the backward; under ``no_grad`` nothing is saved. The
-    backward runs the GELU derivative and the input gradient per block, and
-    each weight gradient as one GEMM or sum over all rows.
+    buffers for the backward; under ``no_grad`` nothing is saved. The input
+    rows are kept only when ``w1`` needs a gradient. The backward runs the
+    GELU derivative and the input gradient per block, and each weight
+    gradient as one GEMM or sum over all rows.
     """
     if (
         w1.data.ndim != 2 or w2.data.ndim != 2 or x.data.ndim == 0
         or x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]
     ):
         raise GradientError(f"mlp shape mismatch: {x.shape} @ {w1.shape} @ {w2.shape}")
-    parents = (x, w1, b1, w2, b2)
-    record = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    inputs = (x, w1, b1, w2, b2)
+    needs = tuple(t.requires_grad for t in inputs)
+    x_grad, w1_grad, b1_grad, w2_grad, b2_grad = needs
+    record = _GRAD_ENABLED and any(needs)
     rows = x.data.reshape(-1, x.shape[-1])
     n, hidden = rows.shape[0], w1.shape[1]
     dtype = rows.dtype
@@ -345,35 +391,38 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         _gelu_from_tanh(h, t, a)
         np.matmul(a, w2.data, out=out[lo:hi])
         out[lo:hi] += b2.data
+    x_shape, w2_data = x.shape, w2.data
+    w1_data = w1.data if x_grad else None
+    kept_rows = rows if w1_grad else None
 
     def backward_fn(g):
         g2 = g.reshape(-1, g.shape[-1])
-        gx = np.empty_like(rows) if x.requires_grad else None
+        gx = np.empty((n, x_shape[-1]), dtype) if x_grad else None
         # gh and the GELU output are staged over all rows for the weight
         # gradients that need them; gh is otherwise one reused block
-        stage_gh = w1.requires_grad or b1.requires_grad
+        stage_gh = w1_grad or b1_grad
         gh_all = np.empty((n if stage_gh else block_rows, hidden), dtype)
-        a_all = np.empty((n, hidden), dtype) if w2.requires_grad else None
+        a_all = np.empty((n, hidden), dtype) if w2_grad else None
         ga_buf = np.empty((block_rows, hidden), dtype)
         for lo, hi in blocks:
             h, t = h_all[lo:hi], t_all[lo:hi]
             if a_all is not None:
                 _gelu_from_tanh(h, t, a_all[lo:hi])
             ga = ga_buf[: hi - lo]
-            np.matmul(g2[lo:hi], w2.data.T, out=ga)
+            np.matmul(g2[lo:hi], w2_data.T, out=ga)
             gh = gh_all[lo:hi] if stage_gh else gh_all[: hi - lo]
             _gelu_grad(h, t, ga, gh)
             if gx is not None:
-                np.matmul(gh, w1.data.T, out=gx[lo:hi])
+                np.matmul(gh, w1_data.T, out=gx[lo:hi])
         return (
-            gx.reshape(x.shape) if gx is not None else None,
-            rows.T @ gh_all if w1.requires_grad else None,
-            gh_all.sum(axis=0) if b1.requires_grad else None,
-            a_all.T @ g2 if w2.requires_grad else None,
-            g2.sum(axis=0) if b2.requires_grad else None,
+            gx.reshape(x_shape) if gx is not None else None,
+            kept_rows.T @ gh_all if w1_grad else None,
+            gh_all.sum(axis=0) if b1_grad else None,
+            a_all.T @ g2 if w2_grad else None,
+            g2.sum(axis=0) if b2_grad else None,
         )
 
-    return _make(out.reshape(x.shape[:-1] + (w2.shape[1],)), parents, backward_fn)
+    return _make(out.reshape(x.shape[:-1] + (w2.shape[1],)), inputs, backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +433,8 @@ def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
 
     def backward_fn(g):
-        if not a.requires_grad:
-            return (None,)
-        return (g * (a.data > 0),)
+        # out > 0 exactly where a > 0, so the input need not be kept
+        return (g * (out > 0),)
 
     return _make(out, (a,), backward_fn)
 
@@ -436,8 +484,6 @@ def gelu(a: Tensor) -> Tensor:
     _gelu_from_tanh(x, t, out)
 
     def backward_fn(g):
-        if not a.requires_grad:
-            return (None,)
         d = np.empty_like(x)
         _gelu_grad(x, t, g, d)
         return (d,)
@@ -454,8 +500,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     out = e / e.sum(axis=axis, keepdims=True)
 
     def backward_fn(g):
-        if not a.requires_grad:
-            return (None,)
         dot = (g * out).sum(axis=axis, keepdims=True)
         return (out * (g - dot),)
 
@@ -480,16 +524,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     xhat *= inv
     out = xhat * gamma.data
     out += beta.data
+    gamma_grad, beta_grad = gamma.requires_grad, beta.requires_grad
+    gamma_data = gamma.data if x.requires_grad else None
 
     def backward_fn(g):
         gx = gg = gb = None
         g2 = g.reshape(-1, d)
-        if gamma.requires_grad:
+        if gamma_grad:
             gg = np.einsum("ij,ij->j", g2, xhat.reshape(-1, d))
-        if beta.requires_grad:
+        if beta_grad:
             gb = g2.sum(axis=0)
-        if x.requires_grad:
-            gx = g * gamma.data
+        if gamma_data is not None:
+            gx = g * gamma_data
             m2 = np.einsum("...j,...j->...", gx, xhat)[..., None]
             m2 /= d
             m1 = np.einsum("...j->...", gx)[..., None]
@@ -518,8 +564,6 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     loss = -logp[np.arange(n), labels].mean()
 
     def backward_fn(g):
-        if not logits.requires_grad:
-            return (None,)
         p = np.exp(logp)
         p[np.arange(n), labels] -= 1.0
         return (g * p / n,)
@@ -541,40 +585,35 @@ def backward(loss: Tensor) -> None:
         raise GradientError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise GradientError("loss does not require grad; nothing to differentiate")
-    if loss._backward is None:
+    root = loss._node
+    if root is None:
         if loss.grad is None:
             loss.grad = np.zeros_like(loss.data)
         loss.grad += np.ones_like(loss.data)
         return
 
     # collect reachable recorded nodes
-    nodes: dict[int, Tensor] = {}
-    stack = [loss]
-    seen = {id(loss)}
+    nodes = {root}
+    stack = [root]
     while stack:
-        t = stack.pop()
-        if t._backward is not None:
-            nodes[id(t)] = t
-            for p in t._parents:
-                if id(p) not in seen:
-                    seen.add(id(p))
-                    stack.append(p)
+        for entry in stack.pop().inputs:
+            if type(entry) is Node and entry not in nodes:
+                nodes.add(entry)
+                stack.append(entry)
 
-    pending: dict[int, np.ndarray] = {
-        id(loss): np.ones_like(loss.data)
-    }
-    for t in sorted(nodes.values(), key=lambda n: n._seq, reverse=True):
-        g = pending.pop(id(t), None)
+    pending: dict[Node, np.ndarray] = {root: np.ones_like(loss.data)}
+    for node in sorted(nodes, key=lambda n: n.seq, reverse=True):
+        g = pending.pop(node, None)
         if g is None:
             continue
-        for parent, pg in zip(t._parents, t._backward(g)):
-            if pg is None or not parent.requires_grad:
+        for entry, pg in zip(node.inputs, node.backward(g)):
+            if pg is None or entry is None:
                 continue
-            if parent._backward is None:
-                # trainable leaf: accumulate into the grad slot
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += pg
+            if type(entry) is Node:
+                acc = pending.get(entry)
+                pending[entry] = pg if acc is None else acc + pg
             else:
-                acc = pending.get(id(parent))
-                pending[id(parent)] = pg if acc is None else acc + pg
+                # trainable leaf: accumulate into the grad slot
+                if entry.grad is None:
+                    entry.grad = np.zeros_like(entry.data)
+                entry.grad += pg

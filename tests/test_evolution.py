@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,18 @@ class TestTraceFile:
         with pytest.raises(E.EvolutionError, match=f":{len(lines) + 1}: "):
             E.SearchTrace.load(p)
 
+    def test_unexpected_record_type_names_path_and_line(self, tmp_path):
+        spec = toy_spec()
+        _, trace = E.evolve(toy_batch, spec, small_schedule(generations=1),
+                            np.random.default_rng(7))
+        p = tmp_path / "trace.jsonl"
+        trace.save(p)
+        lines = p.read_text().splitlines()
+        lines.insert(2, json.dumps({"type": "meta", "seed": 1}))
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(E.EvolutionError, match=rf"^{re.escape(str(p))}:3: unexpected record type 'meta'"):
+            E.SearchTrace.load(p)
+
     def test_lines_are_json(self, tmp_path):
         spec = toy_spec()
         _, trace = E.evolve(toy_batch, spec, small_schedule(generations=1),
@@ -229,6 +242,13 @@ class TestReport:
                     cfg = S.SubnetConfig.decode(enc)
                     vals.append(cfg.active_dim(m, layer))
                 assert summary["average_dims_top_k"][m][layer] == pytest.approx(np.mean(vals))
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_rejected(self, top_k):
+        _, trace = E.evolve(toy_batch, toy_spec(), small_schedule(generations=0),
+                            np.random.default_rng(8))
+        with pytest.raises(E.EvolutionError, match=f"top_k must be >= 1, got {top_k}"):
+            E.report(trace, top_k=top_k)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(E.EvolutionError):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,3 +389,64 @@ class TestDebugValidation:
         with pytest.raises(RuntimeError, match="training failed"):
             P.train_supernet_stage(run, dataset)
         assert seen == [True] and not nan_checks_on()
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that Python's allocators traced while ``fn`` ran."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrainingMemory:
+    """Training holds one step's autodiff graph at a time, and a graph keeps
+    no activation that its backward does not read."""
+
+    def tiny_supernet(self):
+        run = config_from_dict(TINY)
+        dataset = gen_synthetic("pattern-class", 4, 80, seed=3)
+        cfg = P.backbone_config(run, dataset)
+        weights, spec, _ = P.build_frozen_backbone(run, cfg)
+        model = SN.build_supernet(weights, cfg, spec, np.random.default_rng(0))
+        images, labels = dataset.normalized("train")
+        return run.supernet_hyper, model, images, labels
+
+    def test_four_steps_peak_near_one_step(self):
+        hyper, model, images, labels = self.tiny_supernet()
+        bs = hyper.batch_size
+        images, labels = images[: 4 * bs], labels[: 4 * bs]
+        config = model.spec.full_config()
+
+        def one_step():
+            T.backward(T.cross_entropy(model.forward(images[:bs], config), labels[:bs]))
+
+        step = traced_peak(one_step)
+        for t in model.weights.values():
+            t.grad = None
+        log = []
+        train = traced_peak(lambda: log.extend(SN.train_model(
+            model, images, labels, hyper, np.random.default_rng(1), lambda: config)))
+        assert len(log[0]["configs"]) == 4
+        assert train < 1.2 * step, f"4 steps peaked at {train} B, one step at {step} B"
+
+    def test_nodes_hold_no_activation_tensor(self):
+        _, model, images, labels = self.tiny_supernet()
+        loss = T.cross_entropy(model.forward(images[:8], model.spec.full_config()), labels[:8])
+        nodes, stack = set(), [loss._node]
+        while stack:
+            node = stack.pop()
+            nodes.add(node)
+            for entry in node.inputs:
+                if isinstance(entry, T.Node) and entry not in nodes:
+                    stack.append(entry)
+                elif isinstance(entry, T.Tensor):
+                    assert entry.requires_grad and entry._node is None
+        assert len(nodes) > 20
+        for node in nodes:
+            for cell in node.backward.__closure__ or ():
+                value = cell.cell_contents
+                values = value if isinstance(value, (tuple, list)) else (value,)
+                assert not any(isinstance(v, T.Tensor) for v in values), node.backward

@@ -2,6 +2,7 @@ import ast
 import inspect
 import math
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,7 @@ class TestLinear:
         b = t64(rng.uniform(-2, 2, 5), requires_grad=True)
         mix = t64(rng.uniform(-1, 1, (2, 3, 5)))
         out = T.linear(x, w, b)
-        assert out.shape == (2, 3, 5) and out._parents == (x, w, b)
+        assert out.shape == (2, 3, 5) and out._node.inputs == (x, w, b)
         check_grads(lambda: weighted_sum(T.linear(x, w, b), mix), [x, w, b])
 
     def test_frozen_weight_gets_no_grad(self):
@@ -133,7 +134,7 @@ class TestAttention:
     def test_matches_per_head_reference(self):
         qkv = self.packed(30)
         out = T.attention(qkv, self.HEADS)
-        assert out.shape == (self.B, self.N, self.D) and out._parents == (qkv,)
+        assert out.shape == (self.B, self.N, self.D) and out._node.inputs == (qkv,)
         np.testing.assert_allclose(out.data, reference_attention(qkv.data, self.HEADS), atol=1e-12)
 
     def test_gradients(self):
@@ -221,7 +222,7 @@ class TestInPlaceSafety:
         out = forward(*inputs)
         g = np.random.default_rng(41).uniform(-1, 1, out.shape)
         g_before = g.copy()
-        grads = out._backward(g)
+        grads = out._node.backward(g)
         assert all(np.array_equal(a.data, b) for a, b in zip(inputs, before))
         assert np.array_equal(g, g_before)
         assert all(not np.shares_memory(pg, g) for pg in grads if pg is not None)
@@ -285,12 +286,67 @@ class TestMlp:
         args = [t64(rng.uniform(-1, 1, s), requires_grad=True) for s in shapes]
         with T.no_grad():
             out = T.mlp(*args)
-        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert not out.requires_grad and out._node is None
 
     def test_shape_mismatch_names_all_shapes(self):
         x, w1, b1, w2, b2 = (T.Tensor(np.zeros(s)) for s in ((3, 4), (4, 6), 6, (5, 2), 2))
         with pytest.raises(T.GradientError, match=r"\(3, 4\).*\(4, 6\).*\(5, 2\)"):
             T.mlp(x, w1, b1, w2, b2)
+
+
+def _lifetime_cases():
+    """(name, op): each op maps a fresh activation ``a`` to its output ``h``."""
+    return [
+        ("add", lambda a: T.add(a, a)),
+        ("concat", lambda a: T.concat([a, a], axis=0)),
+        ("reshape", lambda a: T.reshape(a, (3, 1, 4))),
+        ("expand", lambda a: T.expand(a, (2, 3, 4))),
+        ("slice_axis", lambda a: T.slice_axis(a, 1, 0, 2)),
+    ]
+
+
+class TestLifetime:
+    """A node keeps only what its backward reads, so an activation that no
+    backward reads dies with its last reference while the graph lives."""
+
+    def leaves(self, trainable_weight=False):
+        rng = np.random.default_rng(60)
+        x = t64(rng.uniform(-1, 1, (1, 3, 4)), requires_grad=True)
+        w = t64(rng.uniform(-1, 1, (4, 5)), requires_grad=trainable_weight)
+        return x, w
+
+    @pytest.mark.parametrize("case", _lifetime_cases(), ids=lambda c: c[0])
+    def test_activation_freed_while_graph_lives(self, case):
+        _, op = case
+        x, w = self.leaves()
+        a = T.add(x, x)
+        h = op(a)
+        y = T.linear(h, w)  # w is frozen: the node keeps no rows of h
+        refs = [weakref.ref(a.data), weakref.ref(h.data)]
+        del a, h
+        assert [r() for r in refs] == [None, None]
+        mix = t64(np.random.default_rng(61).uniform(-1, 1, y.shape))
+        T.backward(weighted_sum(y, mix))
+        freed = x.grad
+        x.grad = None
+        kept = op(T.add(x, x))
+        T.backward(weighted_sum(T.linear(kept, w), mix))
+        np.testing.assert_array_equal(freed, x.grad)
+
+    @pytest.mark.parametrize("trainable", [False, True], ids=["frozen", "trainable"])
+    @pytest.mark.parametrize("consumer", ["linear", "mlp"])
+    def test_input_rows_kept_only_for_weight_gradient(self, consumer, trainable):
+        x, w = self.leaves(trainable)
+        h = T.add(x, x)
+        if consumer == "linear":
+            y = T.linear(h, w)
+        else:
+            rng = np.random.default_rng(62)
+            rest = [t64(rng.uniform(-1, 1, s)) for s in ((5,), (5, 2), (2,))]
+            y = T.mlp(h, w, *rest)
+        ref = weakref.ref(h.data)
+        del h
+        assert y.requires_grad and (ref() is not None) == trainable
 
 
 class TestLayerNorm:
