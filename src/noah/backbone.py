@@ -5,7 +5,10 @@ method itself does not constrain these). Per block, prompt modules attach at
 fixed points: VPT tokens appended to the block's attention input, LoRA merged
 into the query/key projection weights (W + BA, formed before the QKV GEMM, so
 the low-rank path adds no per-row work), and the adapter bottleneck on the
-MLP output inside the residual branch.
+MLP output inside the residual branch. Every block function takes the
+weights dict and the ``SubnetConfig``, and reads each module's tensors
+through ``prompts.active_slices``; ``model_forward`` with no config runs the
+plain backbone.
 
 Each block queries only with the rows the next stage reads. The layer's VPT
 tokens are appended after the class and patch rows, and serve as keys and
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .prompts import PromptContext, adapter_bottleneck, inject_prompts, lora_delta
+from .prompts import active_slices, adapter_bottleneck, inject_prompts, lora_delta
 from .space import SubnetConfig
 from .tensor import Tensor
 
@@ -147,7 +150,7 @@ def msa_forward(
     weights: dict[str, Tensor],
     layer: int,
     cfg: BackboneConfig,
-    prompts: PromptContext,
+    config: SubnetConfig,
     queries: int,
 ) -> Tensor:
     """softmax(q kT / sqrt(head_dim)) v per head, heads merged, projected.
@@ -158,11 +161,11 @@ def msa_forward(
     row. The output is [B, queries, D]."""
     p = f"backbone.L{layer}.attn."
     wq, wk = weights[p + "wq"], weights[p + "wk"]
-    lora = prompts.at("lora", layer)
+    lora = active_slices(weights, config, "lora", layer)
     if lora is not None:
-        q_down, q_up, k_down, k_up, r = lora
-        wq = T.add(wq, lora_delta(q_down, q_up, r))
-        wk = T.add(wk, lora_delta(k_down, k_up, r))
+        q_down, q_up, k_down, k_up = lora
+        wq = T.add(wq, lora_delta(q_down, q_up))
+        wk = T.add(wk, lora_delta(k_down, k_up))
     w = T.concat([wq, wk, weights[p + "wv"]], axis=1)
     b = T.concat([weights[p + "bq"], weights[p + "bk"], weights[p + "bv"]], axis=0)
     out = T.attention(T.linear(xn, w, b), cfg.num_heads, queries)
@@ -174,7 +177,7 @@ def block_trunk(
     layer: int,
     weights: dict[str, Tensor],
     cfg: BackboneConfig,
-    prompts: PromptContext,
+    config: SubnetConfig,
 ) -> tuple[Tensor, Tensor]:
     """The part of a block the adapter does not touch: prompt-token
     injection, ln1, attention with LoRA, the attention residual, ln2 and the
@@ -184,7 +187,7 @@ def block_trunk(
     reads query: all of ``x``'s rows, or the class row at the final block.
     Everything after attention runs on those rows alone, so the outputs are
     shaped like ``x`` (``[B, 1, D]`` at the final block) and never carry
-    prompt rows. It reads only the context's VPT and LoRA at ``layer``, so
+    prompt rows. It reads only the config's VPT and LoRA at ``layer``, so
     configs that differ there only in the adapter share one trunk."""
     if not 0 <= layer < cfg.num_layers:
         raise ModelError(f"layer {layer} outside [0, {cfg.num_layers})")
@@ -192,10 +195,9 @@ def block_trunk(
     queries = 1 if final else x.shape[1]
 
     p = f"backbone.L{layer}."
-    xn = T.layer_norm(
-        inject_prompts(x, prompts.vpt_at(layer)), weights[p + "ln1.gamma"], weights[p + "ln1.beta"]
-    )
-    attn = msa_forward(xn, weights, layer, cfg, prompts, queries)
+    (rows,) = active_slices(weights, config, "vpt", layer) or (None,)
+    xn = T.layer_norm(inject_prompts(x, rows), weights[p + "ln1.gamma"], weights[p + "ln1.beta"])
+    attn = msa_forward(xn, weights, layer, cfg, config, queries)
     if final:
         x = T.slice_axis(x, 1, 0, 1)
     x = T.add(x, attn)
@@ -211,15 +213,16 @@ def block_trunk(
     return x, mlp_out
 
 
-def block_finish(x: Tensor, mlp_out: Tensor, layer: int, prompts: PromptContext) -> Tensor:
-    """The rest of the block after ``block_trunk``: the context's adapter at
+def block_finish(
+    x: Tensor, mlp_out: Tensor, layer: int, weights: dict[str, Tensor], config: SubnetConfig
+) -> Tensor:
+    """The rest of the block after ``block_trunk``: the config's adapter at
     ``layer`` on the MLP output, inside the residual branch, then the
     residual add."""
-    adapter = prompts.at("adapter", layer)
+    adapter = active_slices(weights, config, "adapter", layer)
     if adapter is None:
         return T.add(x, mlp_out)
-    w_down, b_down, w_up, b_up, r = adapter
-    delta = adapter_bottleneck(mlp_out, w_down, b_down, w_up, b_up, r)
+    delta = adapter_bottleneck(mlp_out, *adapter)
     # Both adapter readings coincide at this attachment point: a skipless
     # bottleneck adding its output to the branch, and a bottleneck with an
     # internal residual whose output replaces the branch, assemble the same
@@ -232,7 +235,7 @@ def block_forward(
     layer: int,
     weights: dict[str, Tensor],
     cfg: BackboneConfig,
-    prompts: PromptContext,
+    config: SubnetConfig,
 ) -> Tensor:
     """One transformer block, ``block_trunk`` then ``block_finish``:
     prompt-token injection, attention with LoRA, then MLP with the adapter on
@@ -240,8 +243,8 @@ def block_forward(
     final block (``layer == cfg.num_layers - 1``) returns the class row
     only, [B, 1, D]. Prompt rows are keys and values only and never reach
     the output."""
-    x, mlp_out = block_trunk(x, layer, weights, cfg, prompts)
-    return block_finish(x, mlp_out, layer, prompts)
+    x, mlp_out = block_trunk(x, layer, weights, cfg, config)
+    return block_finish(x, mlp_out, layer, weights, config)
 
 
 def embed(weights: dict[str, Tensor], cfg: BackboneConfig, images: np.ndarray) -> Tensor:
@@ -269,13 +272,13 @@ def model_forward(
     weights: dict[str, Tensor],
     cfg: BackboneConfig,
     images: np.ndarray,
-    prompts: PromptContext | None = None,
+    config: SubnetConfig | None = None,
 ) -> Tensor:
-    """Full forward pass: ``embed``, every block with the prompt context
-    (none by default), then ``readout``."""
-    if prompts is None:
-        prompts = PromptContext({}, SubnetConfig.empty(cfg.num_layers))
+    """Full forward pass: ``embed``, every block with the config's prompt
+    modules (none by default), then ``readout``."""
+    if config is None:
+        config = SubnetConfig.empty(cfg.num_layers)
     x = embed(weights, cfg, images)
     for i in range(cfg.num_layers):
-        x = block_forward(x, i, weights, cfg, prompts)
+        x = block_forward(x, i, weights, cfg, config)
     return readout(weights, cfg, x)

@@ -271,13 +271,28 @@ def load_dataset(root) -> Dataset:
     try:
         manifest = json.loads(path.read_text())
         num_classes = int(manifest["num_classes"])
-        image_shape = tuple(int(v) for v in manifest["image_shape"])
+        image_shape = tuple(manifest["image_shape"])
         mean = np.asarray(manifest["normalization"]["mean"], np.float32)
         std = np.asarray(manifest["normalization"]["std"], np.float32)
         split_entries = manifest["splits"]
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise DataError(f"malformed manifest {path}: {exc}") from exc
+    if len(image_shape) != 3 or not all(type(v) is int and v > 0 for v in image_shape):
+        raise DataError(
+            f"malformed manifest {path}: image_shape must be three positive integers, "
+            f"got {list(image_shape)}"
+        )
     c, h, w = image_shape
+    if mean.shape != (c,) or std.shape != (c,):
+        raise DataError(
+            f"malformed manifest {path}: normalization needs one mean and one std per "
+            f"channel ({c}), got mean {mean.tolist()} and std {std.tolist()}"
+        )
+    if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+        raise DataError(
+            f"malformed manifest {path}: normalization mean must be finite and std positive "
+            f"and finite, got mean {mean.tolist()} and std {std.tolist()}"
+        )
     splits = {}
     for split, entry in split_entries.items():
         try:

@@ -33,9 +33,9 @@ from .space import (
     SpaceError,
     SubnetConfig,
     budget_sampler,
+    count_params,
     crossover,
     mutate,
-    spec_count,
 )
 
 log = logging.getLogger("noah.evolution")
@@ -121,6 +121,9 @@ class SearchTrace:
             kind = record.pop("type", None)
             if kind != "generation":
                 raise EvolutionError(f"{path}:{number}: unexpected record type {kind!r} in trace")
+            missing = [key for key in ("candidates", "best_so_far") if key not in record]
+            if missing:
+                raise EvolutionError(f"{path}:{number}: generation record lacks {missing}")
             trace.add_generation(record)
         return trace
 
@@ -166,7 +169,7 @@ def evolve(
     def produce(make: Callable[[], SubnetConfig]) -> SubnetConfig:
         for _ in range(MAX_TRIES):
             candidate = make()
-            if spec_count(spec, candidate) <= spec.budget:
+            if count_params(candidate, spec.embed_dim) <= spec.budget:
                 return candidate
         log.debug("production capped out; taking a budget sample instead")
         return sample(rng)
@@ -183,7 +186,7 @@ def evolve(
         if fresh:
             values = fitness_fn(list(fresh.values()))
             for (enc, config), value in zip(fresh.items(), values, strict=True):
-                cache[enc] = (float(value), spec_count(spec, config))
+                cache[enc] = (float(value), count_params(config, spec.embed_dim))
         record = {"generation": gen, "fresh": len(fresh), "cache_hits": len(batch) - len(fresh)}
         for key, value in (counts or {}).items():
             record[key] = value - before.get(key, 0)

@@ -4,15 +4,19 @@
 the tensors it adds at one layer, each with its name, its axes (the embed dim
 or the module's active dim) and whether it starts uniform or at zero. Every
 reader goes through it: ``init_subnet_tensors`` (fresh tensors for a config),
-``bank_regions`` (the part of each tensor a config touches) and
-``PromptContext`` (the tensors a block reads).
+``bank_regions`` (the part of each tensor a config touches, which the
+optimizer updates) and ``active_slices`` (that same part, cut out for the
+forward).
 
 The supernet's banks are the tensors of the full-size config, every module at
 every layer at its largest dim. A smaller dimension reads only the leading
 slices along the module-dim axis (first columns of down-projections, first
 rows of up-projections, first token rows), so every subnet trains the same
-underlying prefixes. Up-projections start at zero: freshly initialized
-tensors are an exact no-op on the host model.
+underlying prefixes. ``active_slices`` cuts them the same way from full-size
+banks and from a subnet's exact-size tensors, so both run the same ops.
+``adapter_bottleneck`` and ``lora_delta`` are pure maths on those slices.
+Up-projections start at zero: freshly initialized tensors are an exact no-op
+on the host model.
 """
 
 from __future__ import annotations
@@ -99,31 +103,33 @@ def bank_regions(config: SubnetConfig) -> dict[str, tuple]:
     return regions
 
 
+def active_slices(
+    weights: dict[str, Tensor], config: SubnetConfig, module: str, layer: int
+) -> tuple[Tensor, ...] | None:
+    """``module``'s tensors at ``layer`` in ``LAYOUT`` order, each cut along
+    its "r" axis to the config's dim there, which is the region
+    ``bank_regions`` names; None where the config leaves the module off. A
+    dim past the stored rows raises ``GradientError`` from ``slice_axis``."""
+    r = config.active_dim(module, layer)
+    if r == 0:
+        return None
+    return tuple(
+        T.slice_axis(weights[name], axes.index("r"), 0, r) if "r" in axes else weights[name]
+        for name, (_, axes, _) in zip(tensor_names(module, layer), LAYOUT[module])
+    )
+
+
 def adapter_bottleneck(
-    h: Tensor,
-    w_down: Tensor,
-    b_down: Tensor,
-    w_up: Tensor,
-    b_up: Tensor,
-    r: int,
+    h: Tensor, w_down: Tensor, b_down: Tensor, w_up: Tensor, b_up: Tensor
 ) -> Tensor:
-    """relu(h @ w_down[:, :r] + b_down[:r]) @ w_up[:r, :] + b_up."""
-    if not 1 <= r <= w_down.shape[1]:
-        raise ValueError(f"adapter dim {r} outside [1, {w_down.shape[1]}]")
-    wd = T.slice_axis(w_down, 1, 0, r)
-    bd = T.slice_axis(b_down, 0, 0, r)
-    wu = T.slice_axis(w_up, 0, 0, r)
-    return T.linear(T.relu(T.linear(h, wd, bd)), wu, b_up)
+    """relu(h @ w_down + b_down) @ w_up + b_up."""
+    return T.linear(T.relu(T.linear(h, w_down, b_down)), w_up, b_up)
 
 
-def lora_delta(w_down: Tensor, w_up: Tensor, r: int) -> Tensor:
-    """w_down[:, :r] @ w_up[:r, :], the [D, D] low-rank update; the caller
-    adds it to the frozen projection weight."""
-    if not 1 <= r <= w_down.shape[1]:
-        raise ValueError(f"lora dim {r} outside [1, {w_down.shape[1]}]")
-    wd = T.slice_axis(w_down, 1, 0, r)
-    wu = T.slice_axis(w_up, 0, 0, r)
-    return T.linear(wd, wu)
+def lora_delta(w_down: Tensor, w_up: Tensor) -> Tensor:
+    """w_down @ w_up, the [D, D] low-rank update; the caller adds it to the
+    frozen projection weight."""
+    return T.linear(w_down, w_up)
 
 
 def inject_prompts(x: Tensor, prompt_rows: Tensor | None) -> Tensor:
@@ -139,29 +145,3 @@ def inject_prompts(x: Tensor, prompt_rows: Tensor | None) -> Tensor:
     batch = x.shape[0]
     rows = T.expand(T.reshape(prompt_rows, (1, m, d)), (batch, m, d))
     return T.concat([x, rows], axis=1)
-
-
-class PromptContext:
-    """Per-layer view of the active prompt parameters for one subnet.
-
-    Works identically over full-size supernet banks and exact-size extracted
-    tensors: both go through the same prefix-slice ops, which keeps the two
-    forward paths numerically indistinguishable.
-    """
-
-    def __init__(self, tensors: dict[str, Tensor], config: SubnetConfig):
-        self.tensors = tensors
-        self.config = config
-
-    def at(self, module: str, layer: int):
-        """``module``'s tensors at ``layer`` in ``LAYOUT`` order, then its
-        active dim; None where the config leaves the module off."""
-        r = self.config.active_dim(module, layer)
-        if r == 0:
-            return None
-        return (*map(self.tensors.__getitem__, tensor_names(module, layer)), r)
-
-    def vpt_at(self, layer: int) -> Tensor | None:
-        """The layer's first ``r`` prompt rows, or None."""
-        vpt = self.at("vpt", layer)
-        return None if vpt is None else T.slice_axis(vpt[0], 0, 0, vpt[1])

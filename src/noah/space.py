@@ -55,18 +55,27 @@ class SubnetConfig:
 
     @staticmethod
     def decode(text: str) -> "SubnetConfig":
+        """Inverse of ``encode``; ``SpaceError`` naming ``text`` if it is not
+        three genes of integers over one layer count, each depth within it."""
         parts = text.strip().split("|")
         if len(parts) != 3:
-            raise SpaceError(f"expected 3 module genes, got {len(parts)}")
+            raise SpaceError(f"expected 3 module genes, got {len(parts)}: {text!r}")
         genes = {}
         for m, part in zip(MODULES, parts):
             tag = m[0].upper()
             head, _, dims_text = part.partition(";")
             if not head.startswith(tag):
-                raise SpaceError(f"gene for {m} must start with {tag!r}: {part!r}")
-            depth = int(head[1:])
-            dims = tuple(int(d) for d in dims_text.split(",")) if dims_text else ()
+                raise SpaceError(f"gene for {m} must start with {tag!r}: {text!r}")
+            try:
+                depth = int(head[1:])
+                dims = tuple(int(d) for d in dims_text.split(",")) if dims_text else ()
+            except ValueError:
+                raise SpaceError(f"{m} depth and dims must be integers: {text!r}") from None
+            if not 0 <= depth <= len(dims):
+                raise SpaceError(f"{m} depth {depth} outside its {len(dims)} dims: {text!r}")
             genes[m] = ModuleGene(depth, dims)
+        if len({len(g.dims) for g in genes.values()}) != 1:
+            raise SpaceError(f"genes differ in their number of dims: {text!r}")
         return SubnetConfig(**genes)
 
     def to_dict(self) -> dict:
@@ -163,10 +172,6 @@ def count_params(config: SubnetConfig, embed_dim: int) -> int:
                for m in MODULES for layer in range(config.num_layers))
 
 
-def spec_count(spec: SearchSpaceSpec, config: SubnetConfig) -> int:
-    return count_params(config, spec.embed_dim)
-
-
 def budget_from_fraction(backbone_params: int, fraction: float) -> int:
     return int(round(backbone_params * fraction))
 
@@ -196,7 +201,7 @@ def validate(config: SubnetConfig, spec: SearchSpaceSpec) -> list[Violation]:
                     )
             elif dim not in allowed:
                 out.append(Violation("dim_choice", f"{m}: dim {dim} at layer {i} not allowed"))
-    if not out and (count := spec_count(spec, config)) > spec.budget:
+    if not out and (count := count_params(config, spec.embed_dim)) > spec.budget:
         out.append(Violation("over_budget", f"{count} params exceed budget {spec.budget}"))
     return out
 
@@ -226,8 +231,8 @@ def sample_uniform(spec: SearchSpaceSpec, rng: np.random.Generator) -> SubnetCon
 
 
 def budget_sampler(spec: SearchSpaceSpec) -> Callable[[np.random.Generator], SubnetConfig]:
-    """Exact sampler of ``sample_uniform`` conditioned on ``spec_count <=
-    spec.budget``: one draw per sample, ``SpaceError`` if nothing fits.
+    """Exact sampler of ``sample_uniform`` conditioned on ``count_params(config,
+    spec.embed_dim) <= spec.budget``: one draw per sample, ``SpaceError`` if nothing fits.
 
     A module's outcomes are its (depth, dim multiset) pairs, which fix its
     count, weighted by their share of ``sample_uniform``'s draws. Modules are

@@ -44,7 +44,7 @@ from . import backbone as B
 from . import tensor as T
 from .backbone import BACKBONE_PREFIX, HEAD_NAMES, BackboneConfig, model_forward
 from .optim import AdamW, OptimHyper, TrainingDivergedError, batch_slices, full_region, run_training
-from .prompts import PromptContext, bank_regions, init_subnet_tensors
+from .prompts import bank_regions, init_subnet_tensors
 from .space import MODULES, SearchSpaceSpec, SubnetConfig
 from .tensor import Tensor
 
@@ -55,23 +55,20 @@ class PromptedModel:
     pretrains, a trainable backbone and head with no prompt tensors).
 
     The prompt tensors are the supernet's full-size banks or one subnet's
-    exact-size tensors, both laid out by ``prompts.LAYOUT`` and read through
-    the same prefix-slice ops, so a config runs on any model whose tensors
-    are at least its size.
+    exact-size tensors, both laid out by ``prompts.LAYOUT`` and cut by the
+    same ``prompts.active_slices``, so a config runs on any model whose
+    tensors are at least its size.
     """
 
     cfg: BackboneConfig
     spec: SearchSpaceSpec
     weights: dict[str, Tensor]  # backbone.* frozen after pretraining; the rest trainable
 
-    def context(self, config: SubnetConfig) -> PromptContext:
-        return PromptContext(self.weights, config)
-
     def trainable(self) -> dict[str, Tensor]:
         return {n: t for n, t in self.weights.items() if t.requires_grad}
 
     def forward(self, images: np.ndarray, config: SubnetConfig) -> Tensor:
-        return model_forward(self.weights, self.cfg, images, self.context(config))
+        return model_forward(self.weights, self.cfg, images, config)
 
 
 def build_supernet(
@@ -161,7 +158,6 @@ def evaluate(
     n = len(labels)
     if n == 0:
         raise ValueError("cannot evaluate on an empty split")
-    contexts = [model.context(c) for c in configs]
     correct = [0] * len(configs)
     trunks = blocks = 0
 
@@ -180,12 +176,11 @@ def evaluate(
         for by_adapter in trunk_groups.values():
             trunks += 1
             groups = list(by_adapter.values())
-            x_attn, mlp_out = B.block_trunk(
-                x, layer, model.weights, model.cfg, contexts[groups[0][0]]
-            )
+            trunk_config = configs[groups[0][0]]
+            x_attn, mlp_out = B.block_trunk(x, layer, model.weights, model.cfg, trunk_config)
             for group in groups:
                 blocks += 1
-                out = B.block_finish(x_attn, mlp_out, layer, contexts[group[0]])
+                out = B.block_finish(x_attn, mlp_out, layer, model.weights, configs[group[0]])
                 walk(layer + 1, group, out, y)
 
     with T.no_grad():

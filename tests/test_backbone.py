@@ -6,7 +6,7 @@ import pytest
 
 from noah import backbone as B
 from noah import tensor as T
-from noah.prompts import PromptContext
+from noah.prompts import active_slices
 from noah.space import ModuleGene, SubnetConfig
 from noah.tensor import Tensor
 
@@ -63,7 +63,7 @@ class TestMsa:
         w["backbone.L0.attn.bo"] = Tensor(np.zeros(cfg.embed_dim, np.float32))
         rng = np.random.default_rng(1)
         xn = Tensor(rng.standard_normal((1, 5, cfg.embed_dim)).astype(np.float32))
-        out = B.msa_forward(xn, w, 0, cfg, PromptContext({}, SubnetConfig.empty(2)), 5)
+        out = B.msa_forward(xn, w, 0, cfg, SubnetConfig.empty(2), 5)
         v = xn.data[0] @ w["backbone.L0.attn.wv"].data + w["backbone.L0.attn.bv"].data
         expected = np.repeat(v.mean(axis=0, keepdims=True), 5, axis=0)
         np.testing.assert_allclose(out.data[0], expected, atol=1e-5)
@@ -78,9 +78,8 @@ class TestMsa:
                 rng.standard_normal((cfg.embed_dim, cfg.embed_dim)).astype(np.float32)
             )
         xn = Tensor(rng.standard_normal((1, 1, cfg.embed_dim)).astype(np.float32))
-        ctx = PromptContext({}, SubnetConfig.empty(2))
-        out1 = B.msa_forward(xn, w1, 0, cfg, ctx, 1)
-        out2 = B.msa_forward(xn, w2, 0, cfg, ctx, 1)
+        out1 = B.msa_forward(xn, w1, 0, cfg, SubnetConfig.empty(2), 1)
+        out2 = B.msa_forward(xn, w2, 0, cfg, SubnetConfig.empty(2), 1)
         np.testing.assert_allclose(out1.data, out2.data, atol=1e-6)
 
     def test_three_token_single_head_hand_unrolled(self):
@@ -88,9 +87,7 @@ class TestMsa:
         w = self.one_layer_weights(cfg, seed=4)
         rng = np.random.default_rng(5)
         xn_np = rng.standard_normal((1, 3, 4)).astype(np.float32)
-        out = B.msa_forward(
-            Tensor(xn_np), w, 0, cfg, PromptContext({}, SubnetConfig.empty(2)), 3
-        ).data[0]
+        out = B.msa_forward(Tensor(xn_np), w, 0, cfg, SubnetConfig.empty(2), 3).data[0]
 
         # independent scalar unrolling of attention
         def mat(name):
@@ -128,10 +125,8 @@ class TestMsa:
             name = f"backbone.L{layer}.attn.w{proj}"
             merged[name] = Tensor(w[name].data + wd @ wu)
         xn = Tensor(rng.standard_normal((2, 5, cfg.embed_dim)))
-        lora = B.msa_forward(xn, {**w, **banks}, layer, cfg, PromptContext(banks, config), queries)
-        plain = B.msa_forward(
-            xn, merged, layer, cfg, PromptContext({}, SubnetConfig.empty(2)), queries
-        )
+        lora = B.msa_forward(xn, {**w, **banks}, layer, cfg, config, queries)
+        plain = B.msa_forward(xn, merged, layer, cfg, SubnetConfig.empty(2), queries)
         assert lora.shape == plain.shape == (2, queries, cfg.embed_dim)
         np.testing.assert_allclose(lora.data, plain.data, rtol=0, atol=1e-12)
 
@@ -142,9 +137,7 @@ class TestForward:
         w = B.init_backbone(CFG, rng)
         images = rand_images(CFG, 3, seed=7)
         plain = B.model_forward(w, CFG, images)
-        empty = B.model_forward(
-            w, CFG, images, PromptContext({}, SubnetConfig.empty(CFG.num_layers))
-        )
+        empty = B.model_forward(w, CFG, images, SubnetConfig.empty(CFG.num_layers))
         assert plain.data.tobytes() == empty.data.tobytes()
 
     def test_identical_images_identical_logits(self):
@@ -166,7 +159,7 @@ class TestForward:
         )
         images = rand_images(cfg, 4, seed=11)
         plain = B.model_forward(w, cfg, images)
-        prompted = B.model_forward(weights, cfg, images, PromptContext(weights, config))
+        prompted = B.model_forward(weights, cfg, images, config)
         assert np.max(np.abs(plain.data - prompted.data)) == 0.0
 
     def test_vpt_extends_sequence_inside_blocks(self, monkeypatch):
@@ -181,7 +174,6 @@ class TestForward:
             adapter=ModuleGene(0, (0, 0, 0)), lora=ModuleGene(0, (0, 0, 0)),
             vpt=ModuleGene(1, (3, 0, 0)),
         )
-        ctx = PromptContext(weights, config)
         images = rand_images(cfg, 1, seed=13)
         seen = []
         msa_forward = B.msa_forward
@@ -191,14 +183,14 @@ class TestForward:
             return msa_forward(xn, *args)
 
         monkeypatch.setattr(B, "msa_forward", spy)
-        x = B.block_forward(B.embed(weights, cfg, images), 0, weights, cfg, ctx)
+        x = B.block_forward(B.embed(weights, cfg, images), 0, weights, cfg, config)
         assert seen == [cfg.num_tokens + 3]
         assert x.shape == (1, cfg.num_tokens, cfg.embed_dim)
         # the next layer has no vpt
-        x = B.block_forward(x, 1, weights, cfg, ctx)
+        x = B.block_forward(x, 1, weights, cfg, config)
         assert seen[1] == cfg.num_tokens and x.shape[1] == cfg.num_tokens
         # the final block keeps the class row alone
-        x = B.block_forward(x, 2, weights, cfg, ctx)
+        x = B.block_forward(x, 2, weights, cfg, config)
         assert x.shape == (1, 1, cfg.embed_dim)
 
     def test_vpt_token_gradient_vs_finite_differences(self):
@@ -216,7 +208,7 @@ class TestForward:
         labels = np.array([0, 2])
 
         def loss_fn():
-            logits = B.model_forward(weights, cfg, images, PromptContext(weights, config))
+            logits = B.model_forward(weights, cfg, images, config)
             return T.cross_entropy(logits, labels)
 
         p = banks["vpt.L0.P"]
@@ -238,29 +230,29 @@ class TestFinalBlock:
             t.data = rng.uniform(-0.5, 0.5, t.shape)
         weights = cast64({**w, **banks})
 
-        def context(layers):
+        def config(layers):
             pad = (0,) * (layers - 2)
-            return PromptContext(weights, SubnetConfig(
+            return SubnetConfig(
                 adapter=ModuleGene(2, (2, 3) + pad), lora=ModuleGene(2, (1, 4) + pad),
                 vpt=ModuleGene(2, (3, 2) + pad),
-            ))
+            )
 
         images = rand_images(cfg3, 2, seed=21, dtype=np.float64)
-        x = B.block_forward(B.embed(weights, cfg3, images), 0, weights, cfg3, context(3))
-        full = B.block_forward(x, 1, weights, cfg3, context(3))
-        final = B.block_forward(x, 1, weights, cfg2, context(2))
+        x = B.block_forward(B.embed(weights, cfg3, images), 0, weights, cfg3, config(3))
+        full = B.block_forward(x, 1, weights, cfg3, config(3))
+        final = B.block_forward(x, 1, weights, cfg2, config(2))
         assert full.shape == (2, cfg3.num_tokens, cfg3.embed_dim)
         assert final.shape == (2, 1, cfg2.embed_dim)
         np.testing.assert_allclose(final.data, full.data[:, :1], rtol=0, atol=1e-12)
 
 
-def full_row_block(x, layer, weights, cfg, prompts):
+def full_row_block(x, layer, weights, cfg, config):
     """Reference block under the all-rows rule: the layer's prompt rows sit
     between the class token and the patches ([class, prompts, patches]),
     every row queries and every row comes out. Returns the output with the
     prompt rows dropped again."""
     n = x.shape[1]
-    rows = prompts.vpt_at(layer)
+    (rows,) = active_slices(weights, config, "vpt", layer) or (None,)
     m = 0 if rows is None else rows.shape[0]
     if m:
         b, d = x.shape[0], x.shape[2]
@@ -268,10 +260,10 @@ def full_row_block(x, layer, weights, cfg, prompts):
         x = T.concat([T.slice_axis(x, 1, 0, 1), rows, T.slice_axis(x, 1, 1, n)], axis=1)
     p = f"backbone.L{layer}."
     xn = T.layer_norm(x, weights[p + "ln1.gamma"], weights[p + "ln1.beta"])
-    x = T.add(x, B.msa_forward(xn, weights, layer, cfg, prompts, x.shape[1]))
+    x = T.add(x, B.msa_forward(xn, weights, layer, cfg, config, x.shape[1]))
     un = T.layer_norm(x, weights[p + "ln2.gamma"], weights[p + "ln2.beta"])
     mlp_out = T.mlp(un, *(weights[p + f"mlp.{k}"] for k in ("w1", "b1", "w2", "b2")))
-    out = B.block_finish(x, mlp_out, layer, prompts)
+    out = B.block_finish(x, mlp_out, layer, weights, config)
     return T.concat([T.slice_axis(out, 1, 0, 1), T.slice_axis(out, 1, 1 + m, n + m)], axis=1)
 
 
@@ -287,30 +279,30 @@ class TestPromptRowsKeysOnly:
         for t in banks.values():  # nonzero up-projections, so every module acts
             t.data = rng.uniform(-0.5, 0.5, t.shape)
         weights = cast64({**w, **banks})
-        ctx = PromptContext(weights, SubnetConfig(
+        config = SubnetConfig(
             adapter=ModuleGene(3, (3, 4, 2)), lora=ModuleGene(3, (2, 4, 3)),
             vpt=ModuleGene(3, (3, 4, 2)),
-        ))
+        )
         images = rand_images(cfg, 2, seed=seed + 1, dtype=np.float64)
-        return cfg, weights, ctx, images
+        return cfg, weights, config, images
 
     def test_inner_block_equals_all_rows_rule(self):
-        cfg, weights, ctx, images = self.build(seed=22)
+        cfg, weights, config, images = self.build(seed=22)
         x = B.embed(weights, cfg, images)
         for layer in (0, 1):
-            out = B.block_forward(x, layer, weights, cfg, ctx)
-            ref = full_row_block(x, layer, weights, cfg, ctx)
+            out = B.block_forward(x, layer, weights, cfg, config)
+            ref = full_row_block(x, layer, weights, cfg, config)
             assert out.shape == ref.shape == (2, cfg.num_tokens, cfg.embed_dim)
             np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
             x = out
 
     def test_model_logits_equal_all_rows_rule(self):
-        cfg, weights, ctx, images = self.build(seed=24)
+        cfg, weights, config, images = self.build(seed=24)
         x = B.embed(weights, cfg, images)
         for layer in range(cfg.num_layers):
-            x = full_row_block(x, layer, weights, cfg, ctx)
+            x = full_row_block(x, layer, weights, cfg, config)
         ref = B.readout(weights, cfg, T.slice_axis(x, 1, 0, 1))
-        logits = B.model_forward(weights, cfg, images, ctx)
+        logits = B.model_forward(weights, cfg, images, config)
         np.testing.assert_allclose(logits.data, ref.data, rtol=0, atol=1e-12)
 
 
@@ -331,7 +323,7 @@ class TestModelGradients:
         labels = np.array([0, 2])
 
         def loss_fn():
-            logits = B.model_forward(weights, cfg, images, PromptContext(weights, config))
+            logits = B.model_forward(weights, cfg, images, config)
             return T.cross_entropy(logits, labels)
 
         return weights, loss_fn

@@ -146,6 +146,25 @@ class TestOnDiskFormat:
         with pytest.raises(D.DataError, match="split 'val'.*val_images.bin"):
             D.load_dataset(root)
 
+    @pytest.mark.parametrize("key, value, cause", [
+        ("image_shape", [16, 16], "image_shape must be three positive integers"),
+        ("image_shape", [1, 0, 16], "image_shape must be three positive integers"),
+        ("mean", [0.5, 0.5], "one mean and one std per channel"),
+        ("std", [0.0], "std positive"),
+        ("mean", [float("nan")], "mean must be finite"),
+    ])
+    def test_bad_shape_or_normalization_named(self, tmp_path, key, value, cause):
+        """Rejected at load, naming the manifest: a 2-entry shape used to
+        escape as a bare ValueError, a 2-entry mean to broadcast the images
+        to two channels, and a zero std to give infinite pixels."""
+        root = tmp_path / "ds"
+        D.save_dataset(D.gen_synthetic("pattern-class", 4, 40, seed=4), root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        (manifest if key == "image_shape" else manifest["normalization"])[key] = value
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(D.DataError, match=rf"manifest {root / 'manifest.json'}: .*{cause}"):
+            D.load_dataset(root)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(D.DataError, match="manifest"):
             D.load_dataset(tmp_path / "nope")

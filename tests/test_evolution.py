@@ -77,7 +77,7 @@ class TestEvolve:
         _, trace = E.evolve(toy_batch, spec, small_schedule(), np.random.default_rng(1))
         for c in trace.all_candidates():
             assert c["params"] <= 300
-            assert S.spec_count(spec, S.SubnetConfig.decode(c["config"])) == c["params"]
+            assert S.count_params(S.SubnetConfig.decode(c["config"]), spec.embed_dim) == c["params"]
 
     def test_elitism_and_monotone_curve(self):
         spec = toy_spec()
@@ -145,7 +145,7 @@ class TestEvolve:
         )
         # constant fitness: the cheapest evaluated config must win
         cheapest = min(c["params"] for c in trace.all_candidates())
-        assert S.spec_count(spec, best) == cheapest
+        assert S.count_params(best, spec.embed_dim) == cheapest
 
 
 class TestTraceFile:
@@ -192,6 +192,16 @@ class TestTraceFile:
         lines.insert(2, json.dumps({"type": "meta", "seed": 1}))
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(E.EvolutionError, match=rf"^{re.escape(str(p))}:3: unexpected record type 'meta'"):
+            E.SearchTrace.load(p)
+
+    @pytest.mark.parametrize("key", ["candidates", "best_so_far"])
+    def test_generation_without_key_names_path_and_line(self, tmp_path, key):
+        _, trace = E.evolve(toy_batch, toy_spec(), small_schedule(generations=1),
+                            np.random.default_rng(7))
+        p = tmp_path / "trace.jsonl"
+        del trace.generations[1][key]
+        trace.save(p)
+        with pytest.raises(E.EvolutionError, match=rf"^{re.escape(str(p))}:3: .*'{key}'"):
             E.SearchTrace.load(p)
 
     def test_lines_are_json(self, tmp_path):
@@ -249,6 +259,18 @@ class TestReport:
                             np.random.default_rng(8))
         with pytest.raises(E.EvolutionError, match=f"top_k must be >= 1, got {top_k}"):
             E.report(trace, top_k=top_k)
+
+    def test_corrupt_config_in_loaded_trace_is_a_space_error(self, tmp_path):
+        """A top candidate whose lora depth exceeds its dims used to end the
+        report in an IndexError."""
+        _, trace = E.evolve(toy_batch, toy_spec(), small_schedule(generations=1),
+                            np.random.default_rng(8))
+        bad = "A1;1,0|L2;1|V0;0,0"
+        trace.generations[-1]["candidates"][0].update(config=bad, fitness=99.0)
+        p = tmp_path / "trace.jsonl"
+        trace.save(p)
+        with pytest.raises(S.SpaceError, match=re.escape(repr(bad))):
+            E.report(E.SearchTrace.load(p))
 
     def test_empty_trace_rejected(self):
         with pytest.raises(E.EvolutionError):

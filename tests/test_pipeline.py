@@ -135,7 +135,7 @@ class TestStages:
         model, log, config = P.baseline_stage(run, dataset, "lora")
         # lora at dim 2 or at depth 2 exceeds 100 parameters
         assert config == S.SubnetConfig.uniform("lora", 1, 1, 2)
-        assert S.spec_count(model.spec, config) <= 100
+        assert S.count_params(config, model.spec.embed_dim) <= 100
         assert set(model.trainable()) == {
             "lora.L0.q.w_down", "lora.L0.q.w_up", "lora.L0.k.w_down", "lora.L0.k.w_up",
             "head.w", "head.b",
@@ -149,7 +149,7 @@ class TestStages:
         parameters of any fitting single-module design, ties to the deeper."""
         base = S.SearchSpaceSpec(3, (1, 2, 3), {m: (1, 2, 4) for m in S.MODULES}, embed_dim=4)
         designs = {
-            (dim, depth): S.spec_count(base, S.SubnetConfig.uniform(module, dim, depth, 3))
+            (dim, depth): S.count_params(S.SubnetConfig.uniform(module, dim, depth, 3), 4)
             for dim in (1, 2, 4) for depth in (1, 2, 3)
         }
         for budget in range(min(designs.values()), max(designs.values()) + 1):
@@ -165,7 +165,10 @@ class TestStages:
         spec = S.SearchSpaceSpec(4, budget=1517)
         matched = {m: P.matched_budget_single_module(spec, m) for m in S.MODULES}
         assert matched == {"adapter": (5, 2), "lora": (5, 1), "vpt": (5, 4)}
-        counts = [S.spec_count(spec, S.SubnetConfig.uniform(m, *matched[m], 4)) for m in S.MODULES]
+        counts = [
+            S.count_params(S.SubnetConfig.uniform(m, *matched[m], 4), spec.embed_dim)
+            for m in S.MODULES
+        ]
         assert counts == [1418, 1280, 1280]
 
     def test_pretraining_matches_reference_loop(self):
@@ -286,7 +289,7 @@ class TestCli:
         assert P.evaluate_checkpoint(out / "supernet.noah", best, resolved, dataset,
                                      "val") == fitness
         subnet = P.supernet_from_checkpoint(out / "subnet.noah", resolved, dataset)
-        assert S.spec_count(subnet.spec, best) == sum(
+        assert S.count_params(best, subnet.spec.embed_dim) == sum(
             t.size for n, t in subnet.trainable().items() if not n.startswith("head.")
         )
         report = (out / "report.txt").read_text()
@@ -306,6 +309,22 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_manifest_is_a_usage_error(self, tmp_path, capsys):
+        """A manifest whose image shape has two entries exits 2, naming it."""
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(TINY))
+        save_dataset(gen_synthetic("pattern-class", 4, 40, seed=3), tmp_path / "data")
+        manifest_path = tmp_path / "data" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["image_shape"] = [16, 16]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(config_path), "--data", str(tmp_path / "data"),
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "image_shape must be three positive integers" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_bad_config_value_is_a_usage_error(self, tmp_path):

@@ -14,22 +14,23 @@ def make_banks(num_layers=2, embed_dim=8, max_dim=4, seed=0):
     return full_banks(num_layers, embed_dim, max_dim, rng)
 
 
+def adapter_only(r, layers=2):
+    """A config with the adapter at dim ``r`` on layer 0 alone."""
+    return SubnetConfig(
+        adapter=ModuleGene(1, (r,) + (0,) * (layers - 1)),
+        lora=ModuleGene(0, (0,) * layers),
+        vpt=ModuleGene(0, (0,) * layers),
+    )
+
+
 class TestAdapterForward:
     def test_zero_up_projection_gives_bias(self):
-        banks = make_banks()
+        banks = make_banks()  # w_up and b_up are zero-initialized
         h = Tensor(np.random.default_rng(1).standard_normal((1, 3, 8)).astype(np.float32))
-        out = P.adapter_bottleneck(
-            h,
-            banks["adapter.L0.w_down"],
-            banks["adapter.L0.b_down"],
-            banks["adapter.L0.w_up"],  # zero-initialized
-            banks["adapter.L0.b_up"],  # zero-initialized
-            r=2,
-        )
+        out = P.adapter_bottleneck(h, *P.active_slices(banks, adapter_only(2), "adapter", 0))
         assert np.array_equal(out.data, np.zeros((1, 3, 8), np.float32))
 
     def test_r1_scalar_bottleneck_by_hand(self):
-        d = 3
         w_down = Tensor(np.array([[2.0], [0.0], [-1.0]], np.float32))
         b_down = Tensor(np.array([0.5], np.float32))
         w_up = Tensor(np.array([[1.0, -2.0, 3.0]], np.float32))
@@ -37,7 +38,7 @@ class TestAdapterForward:
         h = Tensor(np.array([[[1.0, 5.0, 1.0]]], np.float32))
         # bottleneck scalar: relu(1*2 + 5*0 + 1*-1 + 0.5) = 1.5
         expected = 1.5 * np.array([1.0, -2.0, 3.0]) + np.array([0.1, 0.2, 0.3])
-        out = P.adapter_bottleneck(h, w_down, b_down, w_up, b_up, r=1)
+        out = P.adapter_bottleneck(h, w_down, b_down, w_up, b_up)
         np.testing.assert_allclose(out.data[0, 0], expected, rtol=1e-6)
 
     def test_prefix_slice_equals_standalone(self):
@@ -48,52 +49,38 @@ class TestAdapterForward:
                 rng.standard_normal(banks[name].shape).astype(np.float32), requires_grad=True
             )
         h = Tensor(rng.standard_normal((2, 3, 8)).astype(np.float32))
-        r1 = 2
-        full = P.adapter_bottleneck(
-            h,
-            banks["adapter.L0.w_down"],
-            banks["adapter.L0.b_down"],
-            banks["adapter.L0.w_up"],
-            banks["adapter.L0.b_up"],
-            r=r1,
-        )
-        standalone = P.adapter_bottleneck(
-            h,
-            Tensor(banks["adapter.L0.w_down"].data[:, :r1].copy()),
-            Tensor(banks["adapter.L0.b_down"].data[:r1].copy()),
-            Tensor(banks["adapter.L0.w_up"].data[:r1, :].copy()),
-            Tensor(banks["adapter.L0.b_up"].data.copy()),
-            r=r1,
-        )
-        assert full.data.tobytes() == standalone.data.tobytes()
+        config = adapter_only(2)
+        standalone = {
+            name: Tensor(banks[name].data[region].copy())
+            for name, region in P.bank_regions(config).items()
+        }
+        full = P.adapter_bottleneck(h, *P.active_slices(banks, config, "adapter", 0))
+        exact = P.adapter_bottleneck(h, *P.active_slices(standalone, config, "adapter", 0))
+        assert full.data.tobytes() == exact.data.tobytes()
 
     def test_r_out_of_range(self):
-        banks = make_banks()
-        h = Tensor(np.zeros((1, 2, 8), np.float32))
-        with pytest.raises(ValueError):
-            P.adapter_bottleneck(
-                h,
-                banks["adapter.L0.w_down"],
-                banks["adapter.L0.b_down"],
-                banks["adapter.L0.w_up"],
-                banks["adapter.L0.b_up"],
-                r=5,
-            )
+        # the banks hold 4 adapter dims; slice_axis rejects a read of 5
+        with pytest.raises(T.GradientError, match="out of range"):
+            P.active_slices(make_banks(), adapter_only(5), "adapter", 0)
 
 
 class TestLoraDelta:
     def test_zero_at_initialization(self):
         banks = make_banks(seed=4)
-        out = P.lora_delta(banks["lora.L0.q.w_down"], banks["lora.L0.q.w_up"], r=3)
+        config = SubnetConfig(
+            adapter=ModuleGene(0, (0, 0)), lora=ModuleGene(1, (3, 0)), vpt=ModuleGene(0, (0, 0))
+        )
+        q_down, q_up, _, _ = P.active_slices(banks, config, "lora", 0)
+        out = P.lora_delta(q_down, q_up)
         assert np.array_equal(out.data, np.zeros((8, 8), np.float32))
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_numerical_rank_bounded_by_r(self, r):
         rng = np.random.default_rng(7)
         d = 16
-        wd = Tensor(rng.standard_normal((d, 8)).astype(np.float32))
-        wu = Tensor(rng.standard_normal((8, d)).astype(np.float32))
-        delta = P.lora_delta(wd, wu, r=r).data
+        wd = rng.standard_normal((d, 8)).astype(np.float32)
+        wu = rng.standard_normal((8, d)).astype(np.float32)
+        delta = P.lora_delta(Tensor(wd[:, :r].copy()), Tensor(wu[:r].copy())).data
         assert delta.shape == (d, d)
         sv = np.linalg.svd(delta.astype(np.float64), compute_uv=False)
         rank = int((sv > sv[0] * 1e-6).sum())
@@ -136,17 +123,17 @@ class TestEntanglement:
         config = SubnetConfig(
             adapter=ModuleGene(1, (2, 0)), lora=ModuleGene(1, (2, 0)), vpt=ModuleGene(1, (2, 0))
         )
-        ctx = P.PromptContext(banks, config)
         h = Tensor(rng.standard_normal((1, 4, 8)).astype(np.float32))
 
         def run():
-            parts = []
-            wd, bd, wu, bu, r = ctx.at("adapter", 0)
-            parts.append(P.adapter_bottleneck(h, wd, bd, wu, bu, r).data.tobytes())
-            qd, qu, kd, ku, r = ctx.at("lora", 0)
-            parts.append(P.lora_delta(qd, qu, r).data.tobytes())
-            parts.append(ctx.vpt_at(0).data.tobytes())
-            return parts
+            adapter = P.active_slices(banks, config, "adapter", 0)
+            qd, qu, _, _ = P.active_slices(banks, config, "lora", 0)
+            (rows,) = P.active_slices(banks, config, "vpt", 0)
+            return [
+                P.adapter_bottleneck(h, *adapter).data.tobytes(),
+                P.lora_delta(qd, qu).data.tobytes(),
+                rows.data.tobytes(),
+            ]
 
         before = run()
         # perturb everything beyond the active prefixes
@@ -160,13 +147,8 @@ class TestEntanglement:
 
     def test_gradients_reach_only_active_prefixes(self):
         banks = make_banks(seed=14)
-        config = SubnetConfig(
-            adapter=ModuleGene(1, (2, 0)), lora=ModuleGene(0, (0, 0)), vpt=ModuleGene(0, (0, 0))
-        )
-        ctx = P.PromptContext(banks, config)
         h = Tensor(np.random.default_rng(15).standard_normal((1, 4, 8)).astype(np.float32))
-        wd, bd, wu, bu, r = ctx.at("adapter", 0)
-        out = P.adapter_bottleneck(h, wd, bd, wu, bu, r)
+        out = P.adapter_bottleneck(h, *P.active_slices(banks, adapter_only(2), "adapter", 0))
         T.backward(weighted_sum(out))
         g = banks["adapter.L0.w_down"].grad
         assert g is not None

@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ def conditional_distribution(spec):
     weights = collections.Counter()
     for draw in itertools.product(*per_module):
         cfg = S.SubnetConfig(*(gene for gene, _ in draw))
-        if S.spec_count(spec, cfg) <= spec.budget:
+        if S.count_params(cfg, spec.embed_dim) <= spec.budget:
             weights[cfg.encode()] += math.prod(p for _, p in draw)
     total = sum(weights.values())
     return {enc: w / total for enc, w in weights.items()}
@@ -238,7 +239,7 @@ class TestBudgetSampling:
 
     def test_minimum_budget_samples_and_one_below_raises(self):
         smallest = S.SubnetConfig(*(S.ModuleGene(1, (1, 0, 0, 0)) for _ in S.MODULES))
-        minimum = S.spec_count(desk_spec(), smallest)
+        minimum = S.count_params(smallest, desk_spec().embed_dim)
         sample = S.budget_sampler(desk_spec(budget=minimum))
         rng = np.random.default_rng(7)
         assert {sample(rng) for _ in range(20)} == {smallest}
@@ -364,6 +365,17 @@ class TestEncoding:
         genes = {m: S.ModuleGene(doc[m]["depth"], tuple(doc[m]["dims"])) for m in S.MODULES}
         assert doc["num_layers"] == cfg.num_layers
         assert S.SubnetConfig(**genes) == cfg
+
+    @pytest.mark.parametrize("text, cause", [
+        ("Ax;1,0|L0;0,0|V0;0,0", "adapter depth and dims must be integers"),
+        ("A1;1,y|L0;0,0|V0;0,0", "adapter depth and dims must be integers"),
+        ("A1;1,0|L0;0|V0;0,0", "genes differ in their number of dims"),
+        ("A1;1,0|L2;1|V0;0,0", "lora depth 2 outside its 1 dims"),
+        ("A1;1,0|L0;0,0", "expected 3 module genes, got 2"),
+    ])
+    def test_corrupt_text_names_itself(self, text, cause):
+        with pytest.raises(S.SpaceError, match=re.escape(cause) + ".*" + re.escape(repr(text))):
+            S.SubnetConfig.decode(text)
 
     def test_dict_is_keyed_by_module(self):
         cfg = S.SubnetConfig.uniform("lora", 5, 2, 4)

@@ -7,7 +7,7 @@ from noah import supernet as SN
 from noah import tensor as T
 from noah.backbone import BackboneConfig, init_backbone, freeze_backbone
 from noah.optim import OptimHyper, TrainingDivergedError, batch_slices
-from noah.prompts import bank_regions
+from noah.prompts import active_slices, bank_regions, tensor_names
 from noah.space import (
     MODULES, ModuleGene, SearchSpaceSpec, SubnetConfig, count_params, mutate, sample_uniform,
 )
@@ -408,3 +408,26 @@ class TestLayout:
             assert sum(np.prod(s) for s in extracted.values()) == count_params(
                 config, cfg.embed_dim
             )
+
+    def test_forward_reads_what_the_optimizer_updates(self):
+        """The forward's ``active_slices`` and the optimizer's ``bank_regions``
+        cut the same part of every active tensor, on the supernet's banks and
+        on the exact-size tensors ``extract_subnet`` copies out."""
+        cfg, spec, sn, rng = randomized_setup(seed=44)
+        for _ in range(15):
+            config = mutate(sample_uniform(spec, rng), spec, 0.3, rng)
+            regions = bank_regions(config)
+            extracted = SN.extract_subnet(sn, config).weights
+            for m in MODULES:
+                for layer in range(cfg.num_layers):
+                    names = tensor_names(m, layer)
+                    if config.active_dim(m, layer) == 0:
+                        assert active_slices(sn.weights, config, m, layer) is None
+                        assert not set(names) & set(regions)
+                        continue
+                    for weights in (sn.weights, extracted):
+                        slices = active_slices(weights, config, m, layer)
+                        for name, t in zip(names, slices, strict=True):
+                            region = regions[name]
+                            assert np.array_equal(t.data, weights[name].data[region]), name
+                            assert np.array_equal(t.data, sn.weights[name].data[region]), name
