@@ -270,13 +270,18 @@ def load_dataset(root) -> Dataset:
         raise DataError(f"no manifest at {path}")
     try:
         manifest = json.loads(path.read_text())
-        num_classes = int(manifest["num_classes"])
+        num_classes = manifest["num_classes"]
         image_shape = tuple(manifest["image_shape"])
         mean = np.asarray(manifest["normalization"]["mean"], np.float32)
         std = np.asarray(manifest["normalization"]["std"], np.float32)
         split_entries = manifest["splits"]
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise DataError(f"malformed manifest {path}: {exc}") from exc
+    if type(num_classes) is not int or num_classes < 1:
+        raise DataError(
+            f"malformed manifest {path}: num_classes must be a positive integer, "
+            f"got {num_classes!r}"
+        )
     if len(image_shape) != 3 or not all(type(v) is int and v > 0 for v in image_shape):
         raise DataError(
             f"malformed manifest {path}: image_shape must be three positive integers, "

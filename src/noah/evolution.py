@@ -124,6 +124,13 @@ class SearchTrace:
             missing = [key for key in ("candidates", "best_so_far") if key not in record]
             if missing:
                 raise EvolutionError(f"{path}:{number}: generation record lacks {missing}")
+            entries = [(f"candidate {i}", c, ("source", "config", "fitness", "params"))
+                       for i, c in enumerate(record["candidates"])]
+            entries.append(("best_so_far", record["best_so_far"], ("config", "fitness", "params")))
+            for where, entry, keys in entries:
+                missing = [key for key in keys if not isinstance(entry, dict) or key not in entry]
+                if missing:
+                    raise EvolutionError(f"{path}:{number}: {where} lacks {missing}")
             trace.add_generation(record)
         return trace
 

@@ -1,24 +1,28 @@
-"""AdamW with decoupled weight decay, cosine LR schedule, and the minibatch
-epoch loop under ``supernet.train_model``, which runs every training stage.
-``OptimHyper`` is one stage's settings: the ``supernet_hyper`` and
-``subnet_hyper`` config sections, and what ``pretrain.to_hyper`` builds.
+"""AdamW with decoupled weight decay, the cosine LR schedule and the
+minibatch slicing that ``supernet.train_model``, the one training loop,
+runs every stage with. ``OptimHyper`` is one stage's settings: the
+``supernet_hyper`` and ``subnet_hyper`` config sections, and what
+``pretrain.to_hyper`` builds.
 
 The optimizer accepts per-step index regions so that a training step touches
 only the parameter slices the sampled subnet actually used. Moments and step
 counts live at the full bank shapes: slices share optimizer state the same
 way they share weights, and bias correction is tracked per element because
 different prefixes train at different rates.
+
+``backward`` is imported here, and ``train_model`` calls it as
+``optim.backward``, because the bench tracer times the backward pass by
+wrapping this module's name (ROADMAP item 9).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .tensor import Tensor, backward
+from .tensor import Tensor, backward  # noqa: F401 (backward: see above)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -120,49 +124,3 @@ class AdamW:
 def batch_slices(n: int, batch_size: int):
     for start in range(0, n, batch_size):
         yield start, min(start + batch_size, n)
-
-
-def run_training(
-    optimizer: AdamW,
-    step_fn: Callable[[np.ndarray, int], tuple[Tensor, dict | None]],
-    num_samples: int,
-    hyper: OptimHyper,
-    rng: np.random.Generator,
-    extra_log: Callable[[int], dict] | None = None,
-) -> list[dict]:
-    """The epoch loop under ``train_model``.
-
-    ``step_fn(batch_indices, step)`` runs the forward pass and returns the
-    scalar loss plus the optimizer regions for this step (None = all params),
-    and rejects a non-finite loss, as ``train_model``'s does. Returns one log
-    record per epoch: {"epoch", "lr", "train_loss", ...}.
-
-    One step's autodiff graph is alive at a time: the loss, and with it the
-    graph, is dropped once its value is logged, so it is freed before the
-    next forward.
-    """
-    n = num_samples
-    if n == 0:
-        raise ValueError("empty training split")
-    steps_per_epoch = math.ceil(n / hyper.batch_size)
-    total_steps = steps_per_epoch * hyper.total_epochs
-    log: list[dict] = []
-    step = 0
-    for epoch in range(hyper.total_epochs):
-        order = rng.permutation(n)
-        losses = []
-        lr = 0.0
-        for lo, hi in batch_slices(n, hyper.batch_size):
-            lr = lr_at(step, total_steps, hyper)
-            loss, regions = step_fn(order[lo:hi], step)
-            backward(loss)
-            optimizer.step(lr, regions)
-            optimizer.zero_grad()
-            losses.append(loss.item())
-            del loss  # free this step's graph before the next forward builds one
-            step += 1
-        record = {"epoch": epoch, "lr": lr, "train_loss": float(np.mean(losses))}
-        if extra_log is not None:
-            record.update(extra_log(epoch))
-        log.append(record)
-    return log

@@ -179,25 +179,26 @@ def matched_budget_single_module(spec: S.SearchSpaceSpec, module: str) -> tuple[
 
 def baseline_stage(
     run: RunConfig,
+    sn: PromptedModel,
     dataset: Dataset,
     module: str,
     dim: int | None = None,
     depth: int | None = None,
 ) -> tuple[PromptedModel, list[dict], S.SubnetConfig]:
-    """Train one fixed prompt module from scratch on the frozen backbone."""
+    """Train one fixed prompt module from scratch on the supernet's backbone,
+    from a copy of its head, as a from-scratch retrain does; the supernet is
+    not written."""
     with debug_validation(run.runtime.debug_validation):
-        cfg = backbone_config(run, dataset)
-        backbone_weights, spec, _ = build_frozen_backbone(run, cfg)
         if dim is None or depth is None:
-            auto_dim, auto_depth = matched_budget_single_module(spec, module)
+            auto_dim, auto_depth = matched_budget_single_module(sn.spec, module)
             dim = dim if dim is not None else auto_dim
             depth = depth if depth is not None else auto_depth
-        config = S.SubnetConfig.uniform(module, dim, depth, spec.num_layers)
-        violations = [v for v in S.validate(config, spec) if v.code != "over_budget"]
+        config = S.SubnetConfig.uniform(module, dim, depth, sn.spec.num_layers)
+        violations = [v for v in S.validate(config, sn.spec) if v.code != "over_budget"]
         if violations:
             raise ConfigError("; ".join(f"{v.code}: {v.message}" for v in violations))
         rng = np.random.default_rng(run.seed + 3)
-        model = fresh_subnet(backbone_weights, cfg, spec, config, rng)
+        model = fresh_subnet(sn.weights, sn.cfg, sn.spec, config, rng)
         return model, _train_fixed(run, model, config, dataset, rng), config
 
 

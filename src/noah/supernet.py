@@ -41,9 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backbone as B
+from . import optim
 from . import tensor as T
 from .backbone import BACKBONE_PREFIX, HEAD_NAMES, BackboneConfig, model_forward
-from .optim import AdamW, OptimHyper, TrainingDivergedError, batch_slices, full_region, run_training
+from .optim import AdamW, OptimHyper, TrainingDivergedError, batch_slices, full_region, lr_at
 from .prompts import bank_regions, init_subnet_tensors
 from .space import MODULES, SearchSpaceSpec, SubnetConfig
 from .tensor import Tensor
@@ -103,39 +104,55 @@ def train_model(
     next_config: Callable[[], SubnetConfig],
     val: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[dict]:
-    """Train the model's trainable tensors on one config per optimization
-    step, shared across the batch, updating only the regions that config
-    touched (see ``training_regions``). ``next_config`` is called once per
-    step: pass ``lambda: sample_uniform(model.spec, rng)`` for supernet
-    training, ``lambda: config`` to (re)train a fixed architecture, and the
-    empty config to pretrain a backbone. A non-finite loss raises
-    ``TrainingDivergedError`` naming the step and its config. Log records
-    carry the per-epoch loss, the encoded config of every step (``configs``)
-    and, with ``val``, the validation accuracy of the epoch's last config."""
+    """The one training loop: every stage, pretraining included, is a run of it.
+
+    Each epoch visits the samples in a fresh ``rng.permutation``, one minibatch
+    per optimization step. ``next_config`` is called once per step, after the
+    step's learning rate is read: pass ``lambda: sample_uniform(model.spec,
+    rng)`` for supernet training, ``lambda: config`` to (re)train a fixed
+    architecture, and the empty config to pretrain a backbone. The step's
+    config is shared across its batch, and AdamW updates only the regions it
+    touched (see ``training_regions``). A non-finite loss raises
+    ``TrainingDivergedError`` naming the step and its config. One step's
+    autodiff graph is alive at a time: the loss is dropped before the next
+    forward builds one. Returns one record per epoch: ``epoch``, the last
+    step's ``lr``, the mean ``train_loss``, the encoded config of every step
+    (``configs``) and, with ``val``, the validation accuracy of the epoch's
+    last config (``val_acc``)."""
+    n = len(labels)
+    if n == 0:
+        raise ValueError("empty training split")
     optimizer = AdamW(model.trainable(), hyper)
     regions = training_regions(model)
-    sampled: list[str] = []
-    config: SubnetConfig | None = None
-
-    def step_fn(idx, step):
-        nonlocal config
-        config = next_config()
-        sampled.append(config.encode())
-        loss = T.cross_entropy(model.forward(images[idx], config), labels[idx])
-        if not math.isfinite(loss.item()):
-            raise TrainingDivergedError(
-                f"non-finite loss at step {step} with config {config.encode()}"
-            )
-        return loss, regions(config)
-
-    def extra_log(epoch):
-        record = {"configs": list(sampled)}
-        sampled.clear()
+    total_steps = math.ceil(n / hyper.batch_size) * hyper.total_epochs
+    log: list[dict] = []
+    step = 0
+    for epoch in range(hyper.total_epochs):
+        order = rng.permutation(n)
+        losses: list[float] = []
+        configs: list[str] = []
+        for lo, hi in batch_slices(n, hyper.batch_size):
+            lr = lr_at(step, total_steps, hyper)
+            config = next_config()
+            configs.append(config.encode())
+            idx = order[lo:hi]
+            loss = T.cross_entropy(model.forward(images[idx], config), labels[idx])
+            losses.append(loss.item())
+            if not math.isfinite(losses[-1]):
+                raise TrainingDivergedError(
+                    f"non-finite loss at step {step} with config {configs[-1]}"
+                )
+            optim.backward(loss)  # via the module: the bench tracer wraps it (ROADMAP item 9)
+            optimizer.step(lr, regions(config))
+            optimizer.zero_grad()
+            del loss  # free this step's graph before the next forward builds one
+            step += 1
+        record = {"epoch": epoch, "lr": lr, "train_loss": float(np.mean(losses)),
+                  "configs": configs}
         if val is not None:
             record["val_acc"] = evaluate(model, val[0], val[1], [config])[0]
-        return record
-
-    return run_training(optimizer, step_fn, len(labels), hyper, rng, extra_log)
+        log.append(record)
+    return log
 
 
 def evaluate(

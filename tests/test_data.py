@@ -152,15 +152,22 @@ class TestOnDiskFormat:
         ("mean", [0.5, 0.5], "one mean and one std per channel"),
         ("std", [0.0], "std positive"),
         ("mean", [float("nan")], "mean must be finite"),
+        ("num_classes", 4.7, "num_classes must be a positive integer, got 4.7"),
+        ("num_classes", True, "num_classes must be a positive integer, got True"),
+        ("num_classes", 0, "num_classes must be a positive integer, got 0"),
+        ("num_classes", -1, "num_classes must be a positive integer, got -1"),
     ])
     def test_bad_shape_or_normalization_named(self, tmp_path, key, value, cause):
         """Rejected at load, naming the manifest: a 2-entry shape used to
         escape as a bare ValueError, a 2-entry mean to broadcast the images
-        to two channels, and a zero std to give infinite pixels."""
+        to two channels, a zero std to give infinite pixels, a class count
+        of 4.7 to load as 4 classes, true as 1, and -1 to fail only at the
+        first label."""
         root = tmp_path / "ds"
         D.save_dataset(D.gen_synthetic("pattern-class", 4, 40, seed=4), root)
         manifest = json.loads((root / "manifest.json").read_text())
-        (manifest if key == "image_shape" else manifest["normalization"])[key] = value
+        top_level = key in ("image_shape", "num_classes")
+        (manifest if top_level else manifest["normalization"])[key] = value
         (root / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(D.DataError, match=rf"manifest {root / 'manifest.json'}: .*{cause}"):
             D.load_dataset(root)

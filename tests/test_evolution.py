@@ -204,6 +204,20 @@ class TestTraceFile:
         with pytest.raises(E.EvolutionError, match=rf"^{re.escape(str(p))}:3: .*'{key}'"):
             E.SearchTrace.load(p)
 
+    @pytest.mark.parametrize("where", ["candidate 1", "best_so_far"])
+    def test_entry_without_params_names_path_and_line(self, tmp_path, where):
+        """A candidate or best-so-far entry without ``params`` fails at load,
+        not as a bare KeyError in ``report``."""
+        _, trace = E.evolve(toy_batch, toy_spec(), small_schedule(generations=1),
+                            np.random.default_rng(7))
+        record = trace.generations[1]
+        del (record["candidates"][1] if where == "candidate 1" else record["best_so_far"])["params"]
+        p = tmp_path / "trace.jsonl"
+        trace.save(p)
+        with pytest.raises(E.EvolutionError,
+                           match=rf"^{re.escape(str(p))}:3: {where} lacks \['params'\]"):
+            E.SearchTrace.load(p)
+
     def test_lines_are_json(self, tmp_path):
         spec = toy_spec()
         _, trace = E.evolve(toy_batch, spec, small_schedule(generations=1),

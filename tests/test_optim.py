@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from noah import optim as O
-from noah import tensor as T
 from noah.tensor import Tensor
-
-from gradcheck import weighted_sum
 
 
 def hyper(**kw):
@@ -146,22 +143,3 @@ class TestHyperValidation:
 
     def test_warmup_clamped_to_epochs(self):
         assert O.OptimHyper(base_lr=0.1, total_epochs=5, warmup_epochs=6).warmup_epochs == 5
-
-
-class TestRunTraining:
-    def test_quadratic_converges_and_logs(self):
-        rng = np.random.default_rng(2)
-        target = np.array([1.5, -0.5], np.float32)
-        p = Tensor(np.zeros(2, np.float32), requires_grad=True)
-        h = O.OptimHyper(base_lr=0.05, total_epochs=30, weight_decay=0.0, warmup_epochs=3,
-                         batch_size=8)
-        opt = O.AdamW({"p": p}, h)
-
-        def step_fn(idx, step):
-            diff = T.add(p, Tensor(-target))
-            return weighted_sum(diff, diff), None
-
-        log = O.run_training(opt, step_fn, num_samples=16, hyper=h, rng=rng)
-        assert len(log) == 30
-        assert log[-1]["train_loss"] < 0.05 * log[0]["train_loss"]
-        assert {"epoch", "lr", "train_loss"} <= set(log[0])

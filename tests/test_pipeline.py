@@ -19,7 +19,7 @@ from noah.data import (
     channel_stats, gen_mixed_base_task, gen_synthetic, normalize_images, save_dataset,
 )
 from noah.evolution import SearchTrace
-from noah.optim import AdamW, run_training
+from noah.optim import AdamW, batch_slices, lr_at
 
 from gradcheck import records_graph
 
@@ -40,6 +40,12 @@ def tiny_run(**sections):
     for name, values in sections.items():
         doc[name] = {**doc.get(name, {}), **values}
     return config_from_dict(doc), gen_synthetic("pattern-class", 4, 40, seed=3)
+
+
+def untrained_supernet(run, dataset):
+    cfg = P.backbone_config(run, dataset)
+    weights, spec, _ = P.build_frozen_backbone(run, cfg)
+    return SN.build_supernet(weights, cfg, spec, np.random.default_rng(run.seed))
 
 
 class TestConfig:
@@ -132,7 +138,8 @@ class TestConfig:
 class TestStages:
     def test_baseline_matches_budget(self):
         run, dataset = tiny_run(search_space={"budget": 100})
-        model, log, config = P.baseline_stage(run, dataset, "lora")
+        model, log, config = P.baseline_stage(run, untrained_supernet(run, dataset), dataset,
+                                              "lora")
         # lora at dim 2 or at depth 2 exceeds 100 parameters
         assert config == S.SubnetConfig.uniform("lora", 1, 1, 2)
         assert S.count_params(config, model.spec.embed_dim) <= 100
@@ -142,6 +149,30 @@ class TestStages:
         }
         assert len(log) == run.subnet_hyper.total_epochs
         assert all(0.0 <= r["val_acc"] <= 1.0 for r in log)
+
+    def test_baseline_shares_the_supernet_backbone_and_head(self, monkeypatch):
+        """The baseline trains on the supernet's own backbone objects, from a
+        copy of its head, as a from-scratch retrain does, and writes nothing
+        into the supernet."""
+        run, dataset = tiny_run()
+        sn, _ = P.train_supernet_stage(run, dataset)
+        before = {n: t.data.copy() for n, t in sn.weights.items()}
+        heads = {}
+
+        def first_head(model, *args, **kwargs):
+            heads.update({n: model.weights[n].data.copy() for n in B.HEAD_NAMES})
+            return SN.train_model(model, *args, **kwargs)
+
+        monkeypatch.setattr(P, "train_model", first_head)
+        model, _, _ = P.baseline_stage(run, sn, dataset, "adapter")
+        for name, t in model.weights.items():
+            if name.startswith("backbone."):
+                assert t is sn.weights[name], name
+        for name in B.HEAD_NAMES:
+            assert heads[name].tobytes() == before[name].tobytes(), name
+            assert model.weights[name] is not sn.weights[name], name
+        for name, data in before.items():
+            assert np.array_equal(sn.weights[name].data, data), name
 
     @pytest.mark.parametrize("module", S.MODULES)
     def test_matched_baseline_is_largest_fit(self, module):
@@ -173,14 +204,14 @@ class TestStages:
 
     def test_pretraining_matches_reference_loop(self):
         """Pretraining is a train_model run of a model with no prompt tensors:
-        bit for bit the plain loop of AdamW over every weight, run_training
-        with regions=None and model_forward without prompts."""
+        bit for bit the plain loop below, of AdamW over every weight with
+        model_forward without prompts."""
         run, dataset = tiny_run(pretrain={"epochs": 2, "samples": 96, "num_classes": 6,
                                           "batch_size": 16, "warmup_epochs": 1})
         cfg = P.backbone_config(run, dataset)
         weights, spec, log = P.build_frozen_backbone(run, cfg)
 
-        pt = run.pretrain
+        pt, hyper = run.pretrain, run.pretrain.to_hyper()
         rng = np.random.default_rng(pt.seed)
         pre_cfg = dataclasses.replace(cfg, num_classes=pt.num_classes)
         ref = B.init_backbone(pre_cfg, rng)
@@ -189,10 +220,23 @@ class TestStages:
         images = normalize_images(images, *channel_stats(images))
         labels = labels.astype(np.int64)
 
-        def step_fn(idx, step):
-            return T.cross_entropy(B.model_forward(ref, pre_cfg, images[idx]), labels[idx]), None
-
-        ref_log = run_training(AdamW(ref, pt.to_hyper()), step_fn, len(labels), pt.to_hyper(), rng)
+        optimizer = AdamW(ref, hyper)
+        n = len(labels)
+        total_steps = math.ceil(n / hyper.batch_size) * hyper.total_epochs
+        ref_log, step = [], 0
+        for epoch in range(hyper.total_epochs):
+            order = rng.permutation(n)
+            losses = []
+            for lo, hi in batch_slices(n, hyper.batch_size):
+                lr = lr_at(step, total_steps, hyper)
+                idx = order[lo:hi]
+                loss = T.cross_entropy(B.model_forward(ref, pre_cfg, images[idx]), labels[idx])
+                T.backward(loss)
+                optimizer.step(lr)
+                optimizer.zero_grad()
+                losses.append(loss.item())
+                step += 1
+            ref_log.append({"epoch": epoch, "lr": lr, "train_loss": float(np.mean(losses))})
         B.freeze_backbone(ref)
         B.reinit_head(ref, cfg, rng)
 
@@ -393,7 +437,7 @@ class TestDebugValidation:
         if stage == "supernet":
             P.train_supernet_stage(run, dataset)
         else:
-            P.baseline_stage(run, dataset, "adapter")
+            P.baseline_stage(run, untrained_supernet(run, dataset), dataset, "adapter")
         assert not nan_checks_on()
 
     def test_flag_restored_when_stage_raises(self, monkeypatch):
@@ -427,9 +471,7 @@ class TestTrainingMemory:
     def tiny_supernet(self):
         run = config_from_dict(TINY)
         dataset = gen_synthetic("pattern-class", 4, 80, seed=3)
-        cfg = P.backbone_config(run, dataset)
-        weights, spec, _ = P.build_frozen_backbone(run, cfg)
-        model = SN.build_supernet(weights, cfg, spec, np.random.default_rng(0))
+        model = untrained_supernet(run, dataset)
         images, labels = dataset.normalized("train")
         return run.supernet_hyper, model, images, labels
 

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from noah import optim as O
 from noah import supernet as SN
 from noah import tensor as T
 from noah.backbone import BackboneConfig, init_backbone, freeze_backbone
@@ -86,7 +87,9 @@ class TestTraining:
         images, labels = rand_data(cfg, 16)
         log = train_uniform(sn, images, labels, hyper(2), np.random.default_rng(4))
         assert len(log) == 2
-        for record in log:
+        for epoch, record in enumerate(log):
+            assert set(record) == {"epoch", "lr", "train_loss", "configs"}
+            assert record["epoch"] == epoch
             assert len(record["configs"]) == 2  # 16 samples / batch 8
             for enc in record["configs"]:
                 SubnetConfig.decode(enc)
@@ -127,6 +130,27 @@ class TestTraining:
         images[labels == 1] += 0.8  # brightness-separable classes
         log = train_uniform(sn, images, labels, hyper(15, base_lr=3e-3), np.random.default_rng(7))
         assert log[-1]["train_loss"] < 0.5 * log[0]["train_loss"]
+
+    def test_one_backward_per_step_through_optim(self, monkeypatch):
+        """The bench tracer times backward by wrapping ``noah.optim.backward``,
+        so training must look it up there on every step."""
+        cfg, spec, sn = tiny_setup()
+        images, labels = rand_data(cfg, 20)
+        calls = []
+
+        def counting(loss):
+            calls.append(loss)
+            T.backward(loss)
+
+        monkeypatch.setattr(O, "backward", counting)
+        log = train_uniform(sn, images, labels, hyper(1), np.random.default_rng(4))
+        assert len(calls) == len(log[0]["configs"]) == 3  # 20 samples / batch 8
+
+    def test_empty_split_rejected(self):
+        cfg, spec, sn = tiny_setup()
+        images, labels = rand_data(cfg, 0)
+        with pytest.raises(ValueError, match="empty training split"):
+            train_uniform(sn, images, labels, hyper(1), np.random.default_rng(4))
 
     def test_divergence_names_the_step_config(self):
         cfg, spec, sn = tiny_setup()
