@@ -6,9 +6,8 @@ fixed points: VPT tokens appended to the block's attention input, LoRA merged
 into the query/key projection weights (W + BA, formed before the QKV GEMM, so
 the low-rank path adds no per-row work), and the adapter bottleneck on the
 MLP output inside the residual branch. Every block function takes the
-weights dict and the ``SubnetConfig``, and reads each module's tensors
-through ``prompts.active_slices``; ``model_forward`` with no config runs the
-plain backbone.
+weights dict and a ``SubnetConfig``, and reads each module's tensors through
+``prompts.active_slices``.
 
 Each block queries only with the rows the next stage reads. The layer's VPT
 tokens are appended after the class and patch rows, and serve as keys and
@@ -19,10 +18,22 @@ adapter) runs on the class and patch rows, and no block output carries prompt
 rows. The final block goes further: the classifier reads the class token
 alone, so that block queries with the class row only, and its output is
 [B, 1, D].
+
+``model_forward`` is the one forward pass, in training and in search, and
+runs a list of configs at once. The state entering layer l depends only on
+the embedding and on the per-layer genes of layers < l, so it walks the
+configs depth-first over their per-layer (adapter, lora, vpt) dims and runs
+each distinct layer prefix once, dropping each state with its subtree. The
+adapter is a layer's last gene read (it sits on the MLP output), so per
+distinct (lora, vpt) pair at a layer ``block_forward`` runs one
+``block_trunk``, then one ``block_finish`` per adapter dim. No block is
+batched across configs, so each config's logits are bit-identical to a
+forward of that config alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,16 +246,14 @@ def block_forward(
     layer: int,
     weights: dict[str, Tensor],
     cfg: BackboneConfig,
-    config: SubnetConfig,
-) -> Tensor:
-    """One transformer block, ``block_trunk`` then ``block_finish``:
-    prompt-token injection, attention with LoRA, then MLP with the adapter on
-    its output inside the residual branch. The output has ``x``'s rows; the
-    final block (``layer == cfg.num_layers - 1``) returns the class row
-    only, [B, 1, D]. Prompt rows are keys and values only and never reach
-    the output."""
-    x, mlp_out = block_trunk(x, layer, weights, cfg, config)
-    return block_finish(x, mlp_out, layer, weights, config)
+    configs: Sequence[SubnetConfig],
+) -> list[Tensor]:
+    """One transformer block for configs that agree in LoRA and VPT at
+    ``layer``: ``block_trunk`` once, then ``block_finish`` once per config.
+    Returns one output per config, with ``x``'s rows, or the class row only,
+    [B, 1, D], at the final block (``layer == cfg.num_layers - 1``)."""
+    x, mlp_out = block_trunk(x, layer, weights, cfg, configs[0])
+    return [block_finish(x, mlp_out, layer, weights, c) for c in configs]
 
 
 def embed(weights: dict[str, Tensor], cfg: BackboneConfig, images: np.ndarray) -> Tensor:
@@ -272,13 +281,44 @@ def model_forward(
     weights: dict[str, Tensor],
     cfg: BackboneConfig,
     images: np.ndarray,
-    config: SubnetConfig | None = None,
-) -> Tensor:
-    """Full forward pass: ``embed``, every block with the config's prompt
-    modules (none by default), then ``readout``."""
-    if config is None:
-        config = SubnetConfig.empty(cfg.num_layers)
-    x = embed(weights, cfg, images)
-    for i in range(cfg.num_layers):
-        x = block_forward(x, i, weights, cfg, config)
-    return readout(weights, cfg, x)
+    configs: Sequence[SubnetConfig],
+    counts: dict[str, int] | None = None,
+) -> list[Tensor]:
+    """Logits of each config, in order: ``embed`` once, the shared-prefix
+    walk over the blocks, then ``readout`` once per distinct config, so
+    configs that share every gene share one logits tensor. ``counts``, when
+    given, grows by the ``block_forward`` calls (``"block_trunks"``) and the
+    blocks they finished (``"block_forwards"``, one per distinct prefix)."""
+    logits: list[Tensor] = [None] * len(configs)
+    _walk(embed(weights, cfg, images), 0, range(len(configs)), weights, cfg, configs,
+          logits, counts)
+    return logits
+
+
+def _walk(
+    x: Tensor, layer: int, members: Sequence[int], weights: dict[str, Tensor],
+    cfg: BackboneConfig, configs: Sequence[SubnetConfig], logits: list, counts: dict | None,
+) -> None:
+    """Runs layers ``layer`` on from state ``x`` for ``configs[i]``, i in
+    ``members``, which share every gene below ``layer``, and stores their
+    logits. Not a closure: a self-referencing closure is a reference cycle,
+    which under grad keeps the step's graph alive until the cyclic GC runs."""
+    if layer == cfg.num_layers:
+        out = readout(weights, cfg, x)
+        for i in members:
+            logits[i] = out
+        return
+    trunks: dict[tuple[int, int], dict[int, list[int]]] = {}
+    for i in members:
+        c = configs[i]
+        key = (c.active_dim("lora", layer), c.active_dim("vpt", layer))
+        trunks.setdefault(key, {}).setdefault(c.active_dim("adapter", layer), []).append(i)
+    for by_adapter in trunks.values():
+        groups = list(by_adapter.values())
+        outs = block_forward(x, layer, weights, cfg, [configs[g[0]] for g in groups])
+        if counts is not None:
+            counts["block_trunks"] = counts.get("block_trunks", 0) + 1
+            counts["block_forwards"] = counts.get("block_forwards", 0) + len(groups)
+        outs.reverse()  # popped in order, so each state dies with its subtree
+        for group in groups:
+            _walk(outs.pop(), layer + 1, group, weights, cfg, configs, logits, counts)

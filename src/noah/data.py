@@ -301,10 +301,13 @@ def load_dataset(root) -> Dataset:
     splits = {}
     for split, entry in split_entries.items():
         try:
-            count = int(entry["count"])
+            count = entry["count"]
             images_file, labels_file = entry["images_file"], entry["labels_file"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise DataError(f"malformed manifest {path}: split {split!r}: {exc!r}") from exc
+        if type(count) is not int or count < 0:
+            raise DataError(f"malformed manifest {path}: split {split!r}: count must be a "
+                            f"non-negative integer, got {count!r}")
         raw = _read_split_file(root, split, images_file)
         expected = count * c * h * w
         if len(raw) != expected:

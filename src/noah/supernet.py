@@ -12,24 +12,10 @@ type again, trained by the same ``train_model`` on a fixed config. So is the
 backbone while it pretrains: a model with no prompt tensors whose every
 weight trains, on the empty config.
 
-Evaluation scores a whole list of subnets at once. The hidden state entering
-layer l depends only on the embedding and on the per-layer genes of layers
-< l, so ``evaluate`` walks the configs depth-first over their per-layer
-(adapter, lora, vpt) dims and runs each distinct layer prefix once. The
-states passed down the walk hold the class and patch rows alone: a layer's
-VPT tokens are keys and values of its own block only and never reach its
-output (see ``backbone``), so no prompt-row count travels along. Within a
-layer the adapter is the last gene read: it sits on the MLP output, after
-VPT injection, attention and the MLP. So the walk runs one ``block_trunk``
-per distinct (lora, vpt) pair at that layer, then one ``block_finish`` per
-adapter dim on that trunk's outputs. Blocks always run on one prefix's state
-alone, never batched across candidates, so every accuracy is bit-identical
-to a whole ``model_forward`` of that config; scoring a single config is
-``evaluate(model, images, labels, [config])[0]``. The walk's last level is
-the final block, which runs on the class row only (see ``backbone``).
-Candidates rarely share it, because it sits below every other gene, so
-trimming it to the row the readout reads cuts the cost of almost every fresh
-candidate.
+Evaluation scores a whole list of subnets through one ``model_forward``
+call per batch slice, the same forward that training runs, so each distinct
+layer prefix runs once (see ``backbone``); scoring a single config is
+``evaluate(model, images, labels, [config])[0]``.
 """
 
 from __future__ import annotations
@@ -40,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backbone as B
 from . import optim
 from . import tensor as T
 from .backbone import BACKBONE_PREFIX, HEAD_NAMES, BackboneConfig, model_forward
@@ -69,7 +54,7 @@ class PromptedModel:
         return {n: t for n, t in self.weights.items() if t.requires_grad}
 
     def forward(self, images: np.ndarray, config: SubnetConfig) -> Tensor:
-        return model_forward(self.weights, self.cfg, images, config)
+        return model_forward(self.weights, self.cfg, images, [config])[0]
 
 
 def build_supernet(
@@ -164,49 +149,18 @@ def evaluate(
     counts: dict[str, int] | None = None,
 ) -> list[float]:
     """Deterministic top-1 accuracy of each config, in order; no gradients.
-    Each batch slice is embedded once, then the blocks run along the
-    shared-prefix walk, keeping only the current path's hidden states alive:
-    per layer, one ``block_trunk`` per distinct (lora, vpt) dims among the
-    prefix's configs, then one ``block_finish`` per adapter dim among those.
-    Every accuracy equals that of a whole ``model.forward`` per batch slice,
-    bit for bit. ``counts``, when given, grows by the number of blocks run
-    (``"block_forwards"``, one per distinct full layer prefix) and of trunks
-    run (``"block_trunks"``)."""
+    Scores the argmax of each config's logits from one ``model_forward`` per
+    batch slice, which runs each distinct layer prefix once and grows
+    ``counts``, when given, by the blocks it ran."""
     n = len(labels)
     if n == 0:
         raise ValueError("cannot evaluate on an empty split")
     correct = [0] * len(configs)
-    trunks = blocks = 0
-
-    def walk(layer: int, members: list[int], x: Tensor, y: np.ndarray):
-        nonlocal trunks, blocks
-        if layer == model.cfg.num_layers:
-            hits = int((B.readout(model.weights, model.cfg, x).data.argmax(axis=1) == y).sum())
-            for i in members:
-                correct[i] += hits
-            return
-        trunk_groups: dict[tuple[int, int], dict[int, list[int]]] = {}
-        for i in members:
-            key = (configs[i].active_dim("lora", layer), configs[i].active_dim("vpt", layer))
-            adapter = configs[i].active_dim("adapter", layer)
-            trunk_groups.setdefault(key, {}).setdefault(adapter, []).append(i)
-        for by_adapter in trunk_groups.values():
-            trunks += 1
-            groups = list(by_adapter.values())
-            trunk_config = configs[groups[0][0]]
-            x_attn, mlp_out = B.block_trunk(x, layer, model.weights, model.cfg, trunk_config)
-            for group in groups:
-                blocks += 1
-                out = B.block_finish(x_attn, mlp_out, layer, model.weights, configs[group[0]])
-                walk(layer + 1, group, out, y)
-
     with T.no_grad():
         for lo, hi in batch_slices(n, batch_size):
-            x = B.embed(model.weights, model.cfg, images[lo:hi])
-            walk(0, list(range(len(configs))), x, labels[lo:hi])
-    if counts is not None:
-        counts["block_trunks"] = counts.get("block_trunks", 0) + trunks
-        counts["block_forwards"] = counts.get("block_forwards", 0) + blocks
+            logits = model_forward(model.weights, model.cfg, images[lo:hi], configs, counts)
+            for i, out in enumerate(logits):
+                correct[i] += int((out.data.argmax(axis=1) == labels[lo:hi]).sum())
     return [c / n for c in correct]
 
 

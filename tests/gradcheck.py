@@ -1,7 +1,8 @@
 """Central finite-difference gradient oracle, independent of the tape engine,
 a scalar loss built from the ops the model runs, a hash of the frozen
-backbone for tests that check it stays untouched, and full-size prompt banks
-built without a supernet.
+backbone for tests that check it stays untouched, full-size prompt banks
+built without a supernet, and a plain per-layer forward of one config that
+shares no walk with ``model_forward``.
 
 Builds expected gradients purely from repeated forward evaluations in 64-bit
 mode, so it shares no code path with the analytic backward rules it checks.
@@ -11,10 +12,11 @@ import hashlib
 
 import numpy as np
 
+from noah import backbone as B
 from noah import tensor as T
 from noah.backbone import BACKBONE_PREFIX
 from noah.prompts import init_subnet_tensors
-from noah.space import MODULES, SearchSpaceSpec
+from noah.space import MODULES, SearchSpaceSpec, SubnetConfig
 
 
 def numeric_grad(loss_fn, param: T.Tensor, h: float = 1e-5) -> np.ndarray:
@@ -91,3 +93,16 @@ def full_banks(num_layers: int, embed_dim: int, dim: int, rng: np.random.Generat
     spec = SearchSpaceSpec(num_layers, depth_choices=(num_layers,),
                            dim_choices={m: (dim,) for m in MODULES}, embed_dim=embed_dim)
     return init_subnet_tensors(spec.full_config(), embed_dim, rng)
+
+
+def reference_forward(weights, cfg, images, config=None) -> T.Tensor:
+    """Logits of one config (the empty config by default) from a plain loop:
+    ``embed``, then ``block_trunk`` and ``block_finish`` per layer, then
+    ``readout``."""
+    if config is None:
+        config = SubnetConfig.empty(cfg.num_layers)
+    x = B.embed(weights, cfg, images)
+    for layer in range(cfg.num_layers):
+        x, mlp_out = B.block_trunk(x, layer, weights, cfg, config)
+        x = B.block_finish(x, mlp_out, layer, weights, config)
+    return B.readout(weights, cfg, x)

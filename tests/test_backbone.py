@@ -10,7 +10,7 @@ from noah.prompts import active_slices
 from noah.space import ModuleGene, SubnetConfig
 from noah.tensor import Tensor
 
-from gradcheck import backbone_hash, full_banks, max_rel_err, numeric_grad
+from gradcheck import backbone_hash, full_banks, max_rel_err, numeric_grad, reference_forward
 
 CFG = B.BackboneConfig()  # 4 layers, D=64, 4 heads, 16x16 images, patch 4
 
@@ -136,8 +136,8 @@ class TestForward:
         rng = np.random.default_rng(6)
         w = B.init_backbone(CFG, rng)
         images = rand_images(CFG, 3, seed=7)
-        plain = B.model_forward(w, CFG, images)
-        empty = B.model_forward(w, CFG, images, SubnetConfig.empty(CFG.num_layers))
+        plain = reference_forward(w, CFG, images)
+        (empty,) = B.model_forward(w, CFG, images, [SubnetConfig.empty(CFG.num_layers)])
         assert plain.data.tobytes() == empty.data.tobytes()
 
     def test_identical_images_identical_logits(self):
@@ -145,7 +145,8 @@ class TestForward:
         w = B.init_backbone(CFG, rng)
         one = rand_images(CFG, 1, seed=9)
         images = np.concatenate([one, one])
-        logits = B.model_forward(w, CFG, images).data
+        (logits,) = B.model_forward(w, CFG, images, [SubnetConfig.empty(CFG.num_layers)])
+        logits = logits.data
         assert np.array_equal(logits[0], logits[1])
 
     def test_zero_delta_prompts_bit_equal_plain(self):
@@ -158,9 +159,30 @@ class TestForward:
             adapter=ModuleGene(2, (4, 2)), lora=ModuleGene(1, (3, 0)), vpt=ModuleGene(0, (0, 0))
         )
         images = rand_images(cfg, 4, seed=11)
-        plain = B.model_forward(w, cfg, images)
-        prompted = B.model_forward(weights, cfg, images, config)
+        plain = reference_forward(w, cfg, images)
+        (prompted,) = B.model_forward(weights, cfg, images, [config])
         assert np.max(np.abs(plain.data - prompted.data)) == 0.0
+
+    def test_twins_share_one_path(self):
+        cfg = tiny_cfg()
+        rng = np.random.default_rng(26)
+        w = B.init_backbone(cfg, rng)
+        weights = {**w, **full_banks(cfg.num_layers, cfg.embed_dim, 4, rng)}
+        a, b = (
+            SubnetConfig(adapter=ModuleGene(2, (4, last)), lora=ModuleGene(1, (3, 0)),
+                         vpt=ModuleGene(2, (1, 2)))
+            for last in (2, 1)
+        )
+        images = rand_images(cfg, 3, seed=27)
+        with_twin, without = {}, {}
+        logits = B.model_forward(weights, cfg, images, [a, a, b], with_twin)
+        pair = B.model_forward(weights, cfg, images, [a, b], without)
+        assert logits[0] is logits[1] and logits[2] is not logits[0]
+        # a and b share layer 0, and layer 1 up to the adapter
+        assert with_twin == without == {"block_trunks": 2, "block_forwards": 3}
+        for got, config in ((logits[0], a), (logits[2], b), (pair[1], b)):
+            ref = reference_forward(weights, cfg, images, config)
+            assert got.data.tobytes() == ref.data.tobytes()
 
     def test_vpt_extends_sequence_inside_blocks(self, monkeypatch):
         # prompt rows join the attention input as keys and values only: the
@@ -183,14 +205,14 @@ class TestForward:
             return msa_forward(xn, *args)
 
         monkeypatch.setattr(B, "msa_forward", spy)
-        x = B.block_forward(B.embed(weights, cfg, images), 0, weights, cfg, config)
+        (x,) = B.block_forward(B.embed(weights, cfg, images), 0, weights, cfg, [config])
         assert seen == [cfg.num_tokens + 3]
         assert x.shape == (1, cfg.num_tokens, cfg.embed_dim)
         # the next layer has no vpt
-        x = B.block_forward(x, 1, weights, cfg, config)
+        (x,) = B.block_forward(x, 1, weights, cfg, [config])
         assert seen[1] == cfg.num_tokens and x.shape[1] == cfg.num_tokens
         # the final block keeps the class row alone
-        x = B.block_forward(x, 2, weights, cfg, config)
+        (x,) = B.block_forward(x, 2, weights, cfg, [config])
         assert x.shape == (1, 1, cfg.embed_dim)
 
     def test_vpt_token_gradient_vs_finite_differences(self):
@@ -208,7 +230,7 @@ class TestForward:
         labels = np.array([0, 2])
 
         def loss_fn():
-            logits = B.model_forward(weights, cfg, images, config)
+            (logits,) = B.model_forward(weights, cfg, images, [config])
             return T.cross_entropy(logits, labels)
 
         p = banks["vpt.L0.P"]
@@ -238,9 +260,9 @@ class TestFinalBlock:
             )
 
         images = rand_images(cfg3, 2, seed=21, dtype=np.float64)
-        x = B.block_forward(B.embed(weights, cfg3, images), 0, weights, cfg3, config(3))
-        full = B.block_forward(x, 1, weights, cfg3, config(3))
-        final = B.block_forward(x, 1, weights, cfg2, config(2))
+        (x,) = B.block_forward(B.embed(weights, cfg3, images), 0, weights, cfg3, [config(3)])
+        (full,) = B.block_forward(x, 1, weights, cfg3, [config(3)])
+        (final,) = B.block_forward(x, 1, weights, cfg2, [config(2)])
         assert full.shape == (2, cfg3.num_tokens, cfg3.embed_dim)
         assert final.shape == (2, 1, cfg2.embed_dim)
         np.testing.assert_allclose(final.data, full.data[:, :1], rtol=0, atol=1e-12)
@@ -290,7 +312,7 @@ class TestPromptRowsKeysOnly:
         cfg, weights, config, images = self.build(seed=22)
         x = B.embed(weights, cfg, images)
         for layer in (0, 1):
-            out = B.block_forward(x, layer, weights, cfg, config)
+            (out,) = B.block_forward(x, layer, weights, cfg, [config])
             ref = full_row_block(x, layer, weights, cfg, config)
             assert out.shape == ref.shape == (2, cfg.num_tokens, cfg.embed_dim)
             np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
@@ -302,7 +324,7 @@ class TestPromptRowsKeysOnly:
         for layer in range(cfg.num_layers):
             x = full_row_block(x, layer, weights, cfg, config)
         ref = B.readout(weights, cfg, T.slice_axis(x, 1, 0, 1))
-        logits = B.model_forward(weights, cfg, images, config)
+        (logits,) = B.model_forward(weights, cfg, images, [config])
         np.testing.assert_allclose(logits.data, ref.data, rtol=0, atol=1e-12)
 
 
@@ -323,7 +345,7 @@ class TestModelGradients:
         labels = np.array([0, 2])
 
         def loss_fn():
-            logits = B.model_forward(weights, cfg, images, config)
+            (logits,) = B.model_forward(weights, cfg, images, [config])
             return T.cross_entropy(logits, labels)
 
         return weights, loss_fn
@@ -397,7 +419,8 @@ class TestFrozenContract:
         w = B.init_backbone(cfg, np.random.default_rng(1))
         B.freeze_backbone(w)
         images = rand_images(cfg, 2, seed=2)
-        loss = T.cross_entropy(B.model_forward(w, cfg, images), np.array([0, 1]))
+        (logits,) = B.model_forward(w, cfg, images, [SubnetConfig.empty(cfg.num_layers)])
+        loss = T.cross_entropy(logits, np.array([0, 1]))
         T.backward(loss)
         assert all(t.grad is None for n, t in w.items() if n.startswith("backbone."))
         assert w["head.w"].grad is not None
@@ -415,3 +438,28 @@ def test_backbone_is_model_code_only():
         elif isinstance(node, ast.ImportFrom):  # from . import x
             imported.update(alias.name for alias in node.names)
     assert not imported & {"optim", "data", "supernet", "pipeline"}, sorted(imported)
+
+
+def test_one_forward_path():
+    """In ``src/noah`` only ``block_forward`` runs ``block_trunk`` and
+    ``block_finish``, and only the shared-prefix walk runs ``block_forward``,
+    so training and search share one block driver."""
+    callers = {name: set() for name in ("block_trunk", "block_finish", "block_forward")}
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in callers:
+                callers[name].add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in Path(B.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert callers == {
+        "block_trunk": {"backbone.block_forward"},
+        "block_finish": {"backbone.block_forward"},
+        "block_forward": {"backbone._walk"},
+    }

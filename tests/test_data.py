@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,20 @@ class TestOnDiskFormat:
         del manifest["splits"]["val"]["count"]
         (root / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(D.DataError, match="split 'val'.*count"):
+            D.load_dataset(root)
+
+    @pytest.mark.parametrize("count", [32.9, "32", True, -1])
+    def test_non_integer_or_negative_count_named(self, tmp_path, count):
+        """A split's count must be a non-negative JSON integer: 32.9 and "32"
+        used to load the 32-sample train split through int() without error."""
+        root = tmp_path / "ds"
+        D.save_dataset(D.gen_synthetic("pattern-class", 4, 40, seed=4), root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        assert manifest["splits"]["train"]["count"] == 32
+        manifest["splits"]["train"]["count"] = count
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        cause = f"split 'train': count must be a non-negative integer, got {count!r}"
+        with pytest.raises(D.DataError, match=re.escape(f"{root / 'manifest.json'}: {cause}")):
             D.load_dataset(root)
 
     def test_missing_split_file_named(self, tmp_path):

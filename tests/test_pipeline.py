@@ -21,7 +21,7 @@ from noah.data import (
 from noah.evolution import SearchTrace
 from noah.optim import AdamW, batch_slices, lr_at
 
-from gradcheck import records_graph
+from gradcheck import records_graph, reference_forward
 
 TINY = {
     "seed": 3,
@@ -204,8 +204,8 @@ class TestStages:
 
     def test_pretraining_matches_reference_loop(self):
         """Pretraining is a train_model run of a model with no prompt tensors:
-        bit for bit the plain loop below, of AdamW over every weight with
-        model_forward without prompts."""
+        bit for bit the plain loop below, of AdamW over every weight with a
+        plain per-layer forward without prompts."""
         run, dataset = tiny_run(pretrain={"epochs": 2, "samples": 96, "num_classes": 6,
                                           "batch_size": 16, "warmup_epochs": 1})
         cfg = P.backbone_config(run, dataset)
@@ -230,7 +230,8 @@ class TestStages:
             for lo, hi in batch_slices(n, hyper.batch_size):
                 lr = lr_at(step, total_steps, hyper)
                 idx = order[lo:hi]
-                loss = T.cross_entropy(B.model_forward(ref, pre_cfg, images[idx]), labels[idx])
+                logits = reference_forward(ref, pre_cfg, images[idx])
+                loss = T.cross_entropy(logits, labels[idx])
                 T.backward(loss)
                 optimizer.step(lr)
                 optimizer.zero_grad()

@@ -14,7 +14,7 @@ from noah.space import (
 )
 from noah.tensor import Tensor
 
-from gradcheck import backbone_hash, records_graph
+from gradcheck import backbone_hash, records_graph, reference_forward
 
 
 def tiny_setup(num_classes=3, seed=0):
@@ -246,13 +246,14 @@ SLICE = 16  # evaluation batch size: 37 samples make two full slices and a ragge
 
 
 def whole_forward_accuracies(sn, images, labels, configs):
-    """Accuracy of each config from a whole ``sn.forward`` per batch slice."""
+    """Accuracy of each config from a plain per-layer forward of that config
+    alone per batch slice."""
     expected = []
     with T.no_grad():
         for c in configs:
             correct = 0
             for lo, hi in batch_slices(len(labels), SLICE):
-                logits = sn.forward(images[lo:hi], c).data
+                logits = reference_forward(sn.weights, sn.cfg, images[lo:hi], c).data
                 correct += int((logits.argmax(axis=1) == labels[lo:hi]).sum())
             expected.append(correct / len(labels))
     return expected
