@@ -13,7 +13,8 @@ The fitness function is called once per generation, in the calling thread,
 with that generation's fresh configs: deduplicated, none seen before, in
 production order. It returns one value per config, in the same order, so an
 evaluator can share work across a generation's candidates (the supernet's
-shared-prefix walk does).
+shared-prefix walk does). It may use threads internally, as
+``supernet.evaluate`` does, provided it has joined them when it returns.
 """
 
 from __future__ import annotations

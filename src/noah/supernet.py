@@ -13,14 +13,22 @@ backbone while it pretrains: a model with no prompt tensors whose every
 weight trains, on the empty config.
 
 Evaluation scores a whole list of subnets through one ``model_forward``
-call per batch slice, the same forward that training runs, so each distinct
-layer prefix runs once (see ``backbone``); scoring a single config is
-``evaluate(model, images, labels, [config])[0]``.
+call per row slice, the same forward that training runs, so each distinct
+layer prefix runs once per slice (see ``backbone``); scoring a single config
+is ``evaluate(model, images, labels, [config])[0]``. The rows of a split do
+not depend on each other, so ``evaluate`` runs its slices on up to
+``eval_workers()`` threads, the calling thread among them, and adds up each
+config's integer hit counts. The worker count is the usable CPUs divided by
+the threads each BLAS call runs, so it is 1, and evaluation serial, unless
+BLAS is limited to fewer threads than there are CPUs (for example
+``OPENBLAS_NUM_THREADS=1``).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -140,6 +148,26 @@ def train_model(
     return log
 
 
+def eval_workers() -> int:
+    """Threads ``evaluate`` runs at once: the usable CPUs divided by the
+    threads of one BLAS call, at least 1. BLAS threads are read as OpenBLAS
+    reads them: a positive ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``,
+    else one per usable CPU. A multi-threaded OpenBLAS serialises the GEMMs of
+    two calling threads, so with BLAS threads left at that default,
+    evaluation stays in the calling thread."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, cpus // blas)
+
+
 def evaluate(
     model: PromptedModel,
     images: np.ndarray,
@@ -149,19 +177,68 @@ def evaluate(
     counts: dict[str, int] | None = None,
 ) -> list[float]:
     """Deterministic top-1 accuracy of each config, in order; no gradients.
-    Scores the argmax of each config's logits from one ``model_forward`` per
-    batch slice, which runs each distinct layer prefix once and grows
-    ``counts``, when given, by the blocks it ran."""
+
+    The split's n rows are cut into ``parts = min(n, max(workers,
+    ceil(n / batch_size)))`` contiguous slices with edges ``n * k // parts``,
+    where ``workers = eval_workers()``. Each slice is scored by the argmax of
+    each config's logits from one ``model_forward``, which runs each distinct
+    layer prefix once. Worker w runs slices w, w + workers, ... in turn, so at
+    most ``workers`` slices of at most ``batch_size`` rows are in flight.
+    Worker 0 is the calling thread; the others are threads started and
+    joined inside the call. ``no_grad`` is entered before they start, and
+    they read the caller's grad and debug flags, which are process-global.
+    An exception in any slice is re-raised once every thread has joined; of
+    several, the lowest slice's. Accuracies are sums of integer hits, so they
+    do not depend on the order slices finish in.
+
+    ``counts``, when given, grows by one walk's blocks (see ``model_forward``):
+    only the first slice passes it on, since every slice walks the same
+    configs. So it does not depend on the slicing or the worker count.
+
+    The slicing depends only on n, ``batch_size`` and the worker count, so
+    within one process an accuracy is reproducible (a reloaded checkpoint
+    scores its searched fitness). Between two slicings of the same rows,
+    logits can differ in the last float32 bit, since BLAS may sum in another
+    order for another row count (up to 2e-7 on the benchmark's 200-row
+    split), which can flip an argmax only on a near-tie."""
     n = len(labels)
     if n == 0:
         raise ValueError("cannot evaluate on an empty split")
-    correct = [0] * len(configs)
+    if batch_size < 1:
+        raise ValueError(f"evaluation batch_size must be positive, got {batch_size}")
+    workers = eval_workers()
+    parts = min(n, max(workers, math.ceil(n / batch_size)))
+    edges = [n * k // parts for k in range(parts + 1)]
+    hits: list[list[int] | None] = [None] * parts
+    errors: list[Exception | None] = [None] * parts
+
+    def run(worker: int) -> None:
+        for k in range(worker, parts, workers):
+            lo, hi = edges[k], edges[k + 1]
+            try:
+                logits = model_forward(model.weights, model.cfg, images[lo:hi], configs,
+                                       counts if k == 0 else None)
+                hits[k] = [int((out.data.argmax(axis=1) == labels[lo:hi]).sum())
+                           for out in logits]
+            except Exception as exc:  # re-raised in the caller after the join
+                errors[k] = exc
+                return
+
     with T.no_grad():
-        for lo, hi in batch_slices(n, batch_size):
-            logits = model_forward(model.weights, model.cfg, images[lo:hi], configs, counts)
-            for i, out in enumerate(logits):
-                correct[i] += int((out.data.argmax(axis=1) == labels[lo:hi]).sum())
-    return [c / n for c in correct]
+        started: list[threading.Thread] = []
+        try:
+            for worker in range(1, min(workers, parts)):
+                thread = threading.Thread(target=run, args=(worker,), name=f"evaluate-{worker}")
+                thread.start()
+                started.append(thread)
+            run(0)
+        finally:
+            for thread in started:
+                thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return [sum(h[i] for h in hits) / n for i in range(len(configs))]
 
 
 def _assemble(

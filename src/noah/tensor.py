@@ -27,6 +27,13 @@ into an input's ``.data``, nor into the incoming gradient ``g`` of its
 backward closure, because ``add`` hands the same array to both inputs and
 ``reshape`` passes on a view of it.
 
+The grad-mode flag (``no_grad``) and the NaN/Inf check flag
+(``debug_validation``) are process-global, not per thread: a block that sets
+one sets it for every thread. ``supernet.evaluate`` enters ``no_grad`` before
+it starts its threads, and they run under the caller's flags. So do not train
+in one thread while another evaluates: the trainer's graph would stop
+recording.
+
 ``matmul``, ``softmax`` and ``gelu`` stay only because the benchmark's tracer
 wraps them by name; the model runs ``linear``, ``attention`` and ``mlp``.
 """

@@ -400,6 +400,9 @@ class TestSearch:
         assert P.evaluate_checkpoint(path, best, run, dataset, "val") == fitness
 
     def test_trace_counts_block_forwards(self, monkeypatch):
+        # one worker: the trace counts one walk per evaluation, while this
+        # counts every block_trunk call, of every slice
+        monkeypatch.setattr("noah.supernet.eval_workers", lambda: 1)
         run, dataset = tiny_run()
         sn, _ = P.train_supernet_stage(run, dataset)
         calls = []

@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -208,6 +210,16 @@ class TestEvaluate:
             SN.evaluate(sn, np.zeros((0,) + cfg.image_shape, np.float32), np.zeros(0, np.int64),
                         [SubnetConfig.empty(2)])
 
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_nonpositive_batch_size_rejected_before_any_forward(self, batch_size, monkeypatch):
+        cfg, spec, sn = tiny_setup()
+        images, labels = rand_data(cfg, 8)
+        calls = []
+        monkeypatch.setattr(SN, "model_forward", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"batch_size must be positive, got {batch_size}"):
+            SN.evaluate(sn, images, labels, [SubnetConfig.empty(2)], batch_size=batch_size)
+        assert calls == []
+
 
 def dims_config(adapter, lora, vpt):
     """A config from per-layer dims; each depth reaches the last nonzero dim."""
@@ -286,7 +298,7 @@ class TestSharedWalk:
         got = SN.evaluate(sn, images, labels, configs, batch_size=SLICE, counts=counts)
         assert got == expected
         prefixes = sum(len({active(c, layer + 1) for c in configs}) for layer in range(2))
-        assert counts["block_forwards"] == 3 * prefixes
+        assert counts["block_forwards"] == prefixes  # one walk, whatever the slicing
 
     def test_adapter_variants_share_one_trunk(self):
         cfg, spec, sn, _ = randomized_setup(seed=36)
@@ -311,13 +323,102 @@ class TestSharedWalk:
                  for c in configs})
             for layer in range(2)
         )
-        assert counts["block_trunks"] == 3 * trunk_keys == 3 * (1 + 4)
-        assert counts["block_trunks"] < counts["block_forwards"] == 3 * (4 + 7)
+        assert counts["block_trunks"] == trunk_keys == 1 + 4
+        assert counts["block_trunks"] < counts["block_forwards"] == 4 + 7
 
     def test_grad_mode_restored(self):
         cfg, spec, sn, _ = randomized_setup(seed=34)
         images, labels = rand_data(cfg, 8, seed=35)
         SN.evaluate(sn, images, labels, walk_configs())
+        assert records_graph()
+
+
+class TestEvaluateWorkers:
+    """``evaluate`` with its worker count patched: the calling thread alone,
+    or it and one or two started threads."""
+
+    @pytest.fixture(params=[1, 2, 3], ids=["1worker", "2workers", "3workers"])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(SN, "eval_workers", lambda: request.param)
+        return request.param
+
+    @pytest.mark.parametrize("n", [37, SLICE, 2])
+    def test_equals_whole_forward(self, workers, n, monkeypatch):
+        cfg, spec, sn, _ = randomized_setup(seed=50)
+        configs = walk_configs()
+        images, _ = rand_data(cfg, n, seed=51)
+        labels = labels_for(sn, images, configs[0])
+        expected = whole_forward_accuracies(sn, images, labels, configs)
+
+        threads = set()
+        forward = SN.model_forward
+
+        def recording(*args):
+            threads.add(threading.get_ident())
+            return forward(*args)
+
+        monkeypatch.setattr(SN, "model_forward", recording)
+        before = threading.active_count()
+        got = SN.evaluate(sn, images, labels, configs, batch_size=SLICE)
+        assert threading.active_count() == before
+        assert got == expected
+        parts = min(n, max(workers, -(-n // SLICE)))
+        assert len(threads) == min(workers, parts)
+        assert records_graph()
+
+    def test_counts_one_walk_for_any_worker_count(self, monkeypatch):
+        cfg, spec, sn, _ = randomized_setup(seed=52)
+        configs = walk_configs()
+        images, labels = rand_data(cfg, 37, seed=53)
+        tallies = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(SN, "eval_workers", lambda: workers)
+            counts = {}
+            SN.evaluate(sn, images, labels, configs, batch_size=SLICE, counts=counts)
+            tallies.append(counts)
+        prefixes = sum(len({active(c, layer + 1) for c in configs}) for layer in range(2))
+        assert tallies[0]["block_forwards"] == prefixes
+        assert tallies[1] == tallies[0] == tallies[2]
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        """Eight workers over ten slices, switching threads as often as the
+        interpreter allows: each slice's hits land in its own slot and only
+        the caller grows ``counts``, so no update is lost."""
+        cfg, spec, sn, _ = randomized_setup(seed=56)
+        configs = walk_configs()
+        images, _ = rand_data(cfg, 37, seed=57)
+        labels = labels_for(sn, images, configs[0])
+        expected = whole_forward_accuracies(sn, images, labels, configs)
+        prefixes = sum(len({active(c, layer + 1) for c in configs}) for layer in range(2))
+        monkeypatch.setattr(SN, "eval_workers", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                counts = {}
+                assert SN.evaluate(sn, images, labels, configs, batch_size=4,
+                                   counts=counts) == expected
+                assert counts["block_forwards"] == prefixes
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("poison", ["bank", "row"])
+    def test_worker_error_raised_after_join(self, workers, poison):
+        """A NaN under ``debug_validation`` raises ``GradientError`` from the
+        slice that meets it: in every slice for a poisoned bank, and only in
+        slice 1 (a started thread's first, with 2 or 3 workers) for a
+        poisoned image row."""
+        cfg, spec, sn, _ = randomized_setup(seed=54)
+        config = dims_config((2, 4), (1, 2), (2, 2))
+        images, labels = rand_data(cfg, 37, seed=55)
+        if poison == "bank":
+            sn.weights["vpt.L1.P"].data[...] = np.nan
+        else:
+            images[20] = np.nan  # slice 1 of 0-12-24-37
+        before = threading.active_count()
+        with T.debug_validation(), pytest.raises(T.GradientError, match="non-finite"):
+            SN.evaluate(sn, images, labels, [config], batch_size=SLICE)
+        assert threading.active_count() == before
         assert records_graph()
 
 
