@@ -13,23 +13,22 @@ backbone while it pretrains: a model with no prompt tensors whose every
 weight trains, on the empty config.
 
 Evaluation scores a whole list of subnets through one ``model_forward``
-call per row slice, the same forward that training runs, so each distinct
+call per batch slice, the same forward that training runs, so each distinct
 layer prefix runs once per slice (see ``backbone``); scoring a single config
 is ``evaluate(model, images, labels, [config])[0]``. The rows of a split do
-not depend on each other, so ``evaluate`` runs its slices on up to
+not depend on each other, so ``evaluate`` hands its slices to up to
 ``eval_workers()`` threads, the calling thread among them, and adds up each
-config's integer hit counts. The worker count is the usable CPUs divided by
-the threads each BLAS call runs, so it is 1, and evaluation serial, unless
-BLAS is limited to fewer threads than there are CPUs (for example
-``OPENBLAS_NUM_THREADS=1``).
+config's integer hit counts. The slices depend only on the row count and the
+batch size, so an accuracy does not depend on the host. Evaluation is serial
+unless numpy's OpenBLAS runs one thread per call (``OPENBLAS_NUM_THREADS=1``).
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from collections.abc import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,24 +147,34 @@ def train_model(
     return log
 
 
+# The most threads evaluation was measured with (2 cores, one BLAS thread
+# each); more are not used until measured.
+EVAL_WORKERS_MAX = 2
+_OPENBLAS = "openblas" in getattr(np.__config__, "CONFIG", {}).get(
+    "Build Dependencies", {}).get("blas", {}).get("name", "")
+
+
 def eval_workers() -> int:
-    """Threads ``evaluate`` runs at once: the usable CPUs divided by the
-    threads of one BLAS call, at least 1. BLAS threads are read as OpenBLAS
-    reads them: a positive ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``,
-    else one per usable CPU. A multi-threaded OpenBLAS serialises the GEMMs of
-    two calling threads, so with BLAS threads left at that default,
-    evaluation stays in the calling thread."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    blas = cpus
+    """Threads ``evaluate`` runs at once. 1 unless numpy's BLAS is OpenBLAS
+    limited to one thread per call (the first positive ``OPENBLAS_NUM_THREADS``
+    or ``OMP_NUM_THREADS``, as OpenBLAS reads them, is 1); then the usable
+    CPUs, at most ``EVAL_WORKERS_MAX``. A multi-threaded OpenBLAS serialises
+    the GEMMs of two calling threads, which made a threaded search ~50%
+    slower, so with BLAS threads left at their default evaluation stays in
+    the calling thread."""
+    blas = None
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(var, "").strip()
         if value.isdigit() and int(value) > 0:
             blas = int(value)
             break
-    return max(1, cpus // blas)
+    if not _OPENBLAS or blas != 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(EVAL_WORKERS_MAX, cpus)
 
 
 def evaluate(
@@ -173,72 +182,59 @@ def evaluate(
     images: np.ndarray,
     labels: np.ndarray,
     configs: Sequence[SubnetConfig],
-    batch_size: int = 256,
+    batch_size: int = 100,
     counts: dict[str, int] | None = None,
 ) -> list[float]:
     """Deterministic top-1 accuracy of each config, in order; no gradients.
 
-    The split's n rows are cut into ``parts = min(n, max(workers,
-    ceil(n / batch_size)))`` contiguous slices with edges ``n * k // parts``,
-    where ``workers = eval_workers()``. Each slice is scored by the argmax of
-    each config's logits from one ``model_forward``, which runs each distinct
-    layer prefix once. Worker w runs slices w, w + workers, ... in turn, so at
-    most ``workers`` slices of at most ``batch_size`` rows are in flight.
-    Worker 0 is the calling thread; the others are threads started and
-    joined inside the call. ``no_grad`` is entered before they start, and
-    they read the caller's grad and debug flags, which are process-global.
-    An exception in any slice is re-raised once every thread has joined; of
-    several, the lowest slice's. Accuracies are sums of integer hits, so they
-    do not depend on the order slices finish in.
+    The split's rows are cut by ``batch_slices(n, batch_size)``, as training
+    cuts them, and each slice is scored by the argmax of each config's
+    logits from one ``model_forward``, which runs each distinct layer prefix
+    once. With ``workers = eval_workers()`` above 1, worker w runs slices
+    w, w + workers, ... in turn: worker 0 is the calling thread and the
+    others run in a thread pool that lives only inside the call. ``no_grad``
+    is entered before they start, and they read the caller's grad and debug
+    flags, which are process-global. An exception in a slice is re-raised
+    once every thread has joined. Accuracies are sums of integer hits, so
+    they depend on the slicing alone: not on the worker count, the host, or
+    the order slices finish in. The default batch size of 100 cuts the
+    benchmark's 200-row val split in two, one slice per core.
 
     ``counts``, when given, grows by one walk's blocks (see ``model_forward``):
     only the first slice passes it on, since every slice walks the same
     configs. So it does not depend on the slicing or the worker count.
 
-    The slicing depends only on n, ``batch_size`` and the worker count, so
-    within one process an accuracy is reproducible (a reloaded checkpoint
-    scores its searched fitness). Between two slicings of the same rows,
-    logits can differ in the last float32 bit, since BLAS may sum in another
-    order for another row count (up to 2e-7 on the benchmark's 200-row
-    split), which can flip an argmax only on a near-tie."""
+    Between two slicings of the same rows, logits can differ in the last
+    float32 bit, since BLAS may sum in another order for another row count
+    (up to 2e-7 on the benchmark's 200-row split), which can flip an argmax
+    only on a near-tie. So compare accuracies at one batch size."""
     n = len(labels)
     if n == 0:
         raise ValueError("cannot evaluate on an empty split")
     if batch_size < 1:
         raise ValueError(f"evaluation batch_size must be positive, got {batch_size}")
-    workers = eval_workers()
-    parts = min(n, max(workers, math.ceil(n / batch_size)))
-    edges = [n * k // parts for k in range(parts + 1)]
-    hits: list[list[int] | None] = [None] * parts
-    errors: list[Exception | None] = [None] * parts
+    slices = list(batch_slices(n, batch_size))
+    workers = min(eval_workers(), len(slices))
 
-    def run(worker: int) -> None:
-        for k in range(worker, parts, workers):
-            lo, hi = edges[k], edges[k + 1]
-            try:
-                logits = model_forward(model.weights, model.cfg, images[lo:hi], configs,
-                                       counts if k == 0 else None)
-                hits[k] = [int((out.data.argmax(axis=1) == labels[lo:hi]).sum())
-                           for out in logits]
-            except Exception as exc:  # re-raised in the caller after the join
-                errors[k] = exc
-                return
+    def score(worker: int) -> list[list[int]]:
+        """Per-config hits of each slice that ``worker`` runs."""
+        hits = []
+        for k in range(worker, len(slices), workers):
+            lo, hi = slices[k]
+            logits = model_forward(model.weights, model.cfg, images[lo:hi], configs,
+                                   counts if k == 0 else None)
+            hits.append([int((out.data.argmax(axis=1) == labels[lo:hi]).sum())
+                         for out in logits])
+        return hits
 
     with T.no_grad():
-        started: list[threading.Thread] = []
-        try:
-            for worker in range(1, min(workers, parts)):
-                thread = threading.Thread(target=run, args=(worker,), name=f"evaluate-{worker}")
-                thread.start()
-                started.append(thread)
-            run(0)
-        finally:
-            for thread in started:
-                thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return [sum(h[i] for h in hits) / n for i in range(len(configs))]
+        if workers == 1:
+            shares = [score(0)]
+        else:
+            with ThreadPoolExecutor(workers - 1, thread_name_prefix="evaluate") as pool:
+                started = [pool.submit(score, w) for w in range(1, workers)]
+                shares = [score(0)] + [future.result() for future in started]
+    return [sum(col) / n for col in zip(*(hits for share in shares for hits in share))]
 
 
 def _assemble(

@@ -257,14 +257,14 @@ def labels_for(sn, images, config):
 SLICE = 16  # evaluation batch size: 37 samples make two full slices and a ragged one
 
 
-def whole_forward_accuracies(sn, images, labels, configs):
+def whole_forward_accuracies(sn, images, labels, configs, batch_size=SLICE):
     """Accuracy of each config from a plain per-layer forward of that config
-    alone per batch slice."""
+    alone per batch slice, cut as ``evaluate`` cuts them."""
     expected = []
     with T.no_grad():
         for c in configs:
             correct = 0
-            for lo, hi in batch_slices(len(labels), SLICE):
+            for lo, hi in batch_slices(len(labels), batch_size):
                 logits = reference_forward(sn.weights, sn.cfg, images[lo:hi], c).data
                 correct += int((logits.argmax(axis=1) == labels[lo:hi]).sum())
             expected.append(correct / len(labels))
@@ -342,13 +342,14 @@ class TestEvaluateWorkers:
         monkeypatch.setattr(SN, "eval_workers", lambda: request.param)
         return request.param
 
-    @pytest.mark.parametrize("n", [37, SLICE, 2])
-    def test_equals_whole_forward(self, workers, n, monkeypatch):
+    @pytest.mark.parametrize("n,batch_size", [(37, SLICE), (SLICE, SLICE), (2, 1)],
+                             ids=["3slices", "1slice", "fewer_slices_than_workers"])
+    def test_equals_whole_forward(self, workers, n, batch_size, monkeypatch):
         cfg, spec, sn, _ = randomized_setup(seed=50)
         configs = walk_configs()
         images, _ = rand_data(cfg, n, seed=51)
         labels = labels_for(sn, images, configs[0])
-        expected = whole_forward_accuracies(sn, images, labels, configs)
+        expected = whole_forward_accuracies(sn, images, labels, configs, batch_size)
 
         threads = set()
         forward = SN.model_forward
@@ -359,12 +360,36 @@ class TestEvaluateWorkers:
 
         monkeypatch.setattr(SN, "model_forward", recording)
         before = threading.active_count()
-        got = SN.evaluate(sn, images, labels, configs, batch_size=SLICE)
+        got = SN.evaluate(sn, images, labels, configs, batch_size=batch_size)
         assert threading.active_count() == before
         assert got == expected
-        parts = min(n, max(workers, -(-n // SLICE)))
-        assert len(threads) == min(workers, parts)
+        # the caller and at least one pool thread, which may run two
+        # workers' shares in turn
+        in_flight = min(workers, -(-n // batch_size))
+        assert (len(threads) > 1) == (in_flight > 1) and len(threads) <= in_flight
         assert records_graph()
+
+    @pytest.mark.parametrize("env,cpus,expected", [
+        ({}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 8, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 32, SN.EVAL_WORKERS_MAX),
+        ({"OMP_NUM_THREADS": "1"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4, 2),
+    ])
+    def test_worker_count_from_blas_threads(self, env, cpus, expected, monkeypatch):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(SN, "_OPENBLAS", True)
+        monkeypatch.setattr(SN.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert SN.eval_workers() == expected
+        monkeypatch.setattr(SN, "_OPENBLAS", False)  # another BLAS: never threads
+        assert SN.eval_workers() == 1
 
     def test_counts_one_walk_for_any_worker_count(self, monkeypatch):
         cfg, spec, sn, _ = randomized_setup(seed=52)
@@ -406,15 +431,15 @@ class TestEvaluateWorkers:
     def test_worker_error_raised_after_join(self, workers, poison):
         """A NaN under ``debug_validation`` raises ``GradientError`` from the
         slice that meets it: in every slice for a poisoned bank, and only in
-        slice 1 (a started thread's first, with 2 or 3 workers) for a
-        poisoned image row."""
+        slice 1 (a pool thread's first, with 2 or 3 workers) for a poisoned
+        image row."""
         cfg, spec, sn, _ = randomized_setup(seed=54)
         config = dims_config((2, 4), (1, 2), (2, 2))
         images, labels = rand_data(cfg, 37, seed=55)
         if poison == "bank":
             sn.weights["vpt.L1.P"].data[...] = np.nan
         else:
-            images[20] = np.nan  # slice 1 of 0-12-24-37
+            images[20] = np.nan  # slice 1 of 0-16-32-37
         before = threading.active_count()
         with T.debug_validation(), pytest.raises(T.GradientError, match="non-finite"):
             SN.evaluate(sn, images, labels, [config], batch_size=SLICE)
