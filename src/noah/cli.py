@@ -10,6 +10,13 @@ written by ``data.save_dataset``; without ``--data`` the config's
   retrained best subnet (``checkpoint`` format);
 * ``search_trace.jsonl``: the search trace (``SearchTrace.load`` reads it);
 * ``report.txt``: the search summary from ``evolution.report``.
+
+``noah run`` sets no BLAS variable. The search scores its candidates on two
+threads only when ``OPENBLAS_NUM_THREADS=1`` is set before launch (see
+``supernet.eval_workers``; the search logs the thread count it uses). On the
+benchmark's ``search`` config (2 cores, seed 21), ``evolve_stage`` took
+1.47-1.70 s with the variable unset and 1.15-1.29 s with it set, to the same
+best fitness. What it does to training time is unmeasured.
 """
 
 from __future__ import annotations

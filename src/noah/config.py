@@ -91,12 +91,6 @@ class SpaceSection:
 
 
 @dataclass
-class RuntimeSection:
-    debug_validation: bool = False
-    retrain_from_scratch: bool = False
-
-
-@dataclass
 class DatasetSection:
     path: str | None = None  # CLI --data overrides
 
@@ -114,7 +108,6 @@ class RunConfig:
         default_factory=lambda: OptimHyper(base_lr=1e-3, total_epochs=100)
     )
     evolution: EvolutionSchedule = field(default_factory=EvolutionSchedule)
-    runtime: RuntimeSection = field(default_factory=RuntimeSection)
     dataset: DatasetSection = field(default_factory=DatasetSection)
 
     def to_dict(self) -> dict:
@@ -131,7 +124,6 @@ _SECTIONS = {
     "supernet_hyper": OptimHyper,
     "subnet_hyper": OptimHyper,
     "evolution": EvolutionSchedule,
-    "runtime": RuntimeSection,
     "dataset": DatasetSection,
 }
 

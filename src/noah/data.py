@@ -24,6 +24,7 @@ from .checkpoint import atomic_write
 log = logging.getLogger("noah.data")
 
 TASKS = ("pattern-class", "shape-count")
+TRAIN_FRACTION = 0.8  # of each class, in split_vtab_style
 _CELL = 5  # blob placement grid pitch; keeps blobs 8-connectivity-separated
 
 
@@ -199,8 +200,9 @@ def gen_synthetic(
 # splits
 
 
-def split_vtab_style(labels: np.ndarray, seed: int, train_frac: float = 0.8):
-    """Disjoint, exhaustive, per-class-stratified train/val index arrays."""
+def split_vtab_style(labels: np.ndarray, seed: int):
+    """Disjoint, exhaustive, per-class-stratified train/val index arrays, with
+    ``TRAIN_FRACTION`` of each class in train."""
     if len(labels) < 5:
         raise DataError(f"need at least 5 samples to split, got {len(labels)}")
     rng = np.random.default_rng(seed)
@@ -212,7 +214,7 @@ def split_vtab_style(labels: np.ndarray, seed: int, train_frac: float = 0.8):
             train.extend(idx)
             continue
         perm = idx[rng.permutation(len(idx))]
-        k = int(round(train_frac * len(idx)))
+        k = int(round(TRAIN_FRACTION * len(idx)))
         k = min(max(k, 1), len(idx) - 1)
         train.extend(perm[:k])
         val.extend(perm[k:])

@@ -45,6 +45,8 @@ log = logging.getLogger("noah.evolution")
 # Draws a crossover or mutation child gets to fit the budget before
 # production takes a budget sample in its place.
 MAX_TRIES = 100
+# Configs whose per-layer dims the report averages: the fittest ones seen.
+TOP_K = 10
 
 
 class EvolutionError(RuntimeError):
@@ -239,18 +241,17 @@ def evolve(
 # reporting
 
 
-def report(trace: SearchTrace, top_k: int = 10) -> tuple[str, dict]:
+def report(trace: SearchTrace) -> tuple[str, dict]:
     """Human-readable summary plus a structured dict: best config, fitness
-    curve, and per-module per-layer average dimensions among the final top-k."""
-    if top_k < 1:
-        raise EvolutionError(f"top_k must be >= 1, got {top_k}")
+    curve, and per-module per-layer average dimensions among the ``TOP_K``
+    fittest configs."""
     if not trace.generations:
         raise EvolutionError("empty trace")
     final = trace.generations[-1]["best_so_far"]
     best = SubnetConfig.decode(final["config"])
 
     ranked = _ranked({c["config"]: (c["fitness"], c["params"]) for c in trace.all_candidates()})
-    top = [SubnetConfig.decode(enc) for enc, _, _ in ranked[:top_k]]
+    top = [SubnetConfig.decode(enc) for enc, _, _ in ranked[:TOP_K]]
     layer_count = top[0].num_layers
     averages = {
         m: [
@@ -265,7 +266,7 @@ def report(trace: SearchTrace, top_k: int = 10) -> tuple[str, dict]:
         "best_document": best.to_dict(),
         "fitness_curve": trace.best_so_far_curve(),
         "evaluations_per_generation": [len(g["candidates"]) for g in trace.generations],
-        "top_k": [enc for enc, _, _ in ranked[:top_k]],
+        "top_k": [enc for enc, _, _ in ranked[:TOP_K]],
         "average_dims_top_k": averages,
     }
 

@@ -3,10 +3,13 @@
 Each stage is a plain function over (RunConfig, Dataset, seeds) so the CLI,
 the tests, and notebook use all share one code path. Every stage builds or
 takes a ``PromptedModel``: the pretraining backbone, the supernet, a subnet
-extracted from it, or a freshly initialized subnet. Every training stage,
-pretraining included, is one ``train_model`` run and every accuracy goes
-through ``evaluate``, so a checkpoint's reloaded accuracy is the one the
-stage logged.
+extracted from it (``retrain_stage``, which ``noah run`` uses), or a freshly
+initialized subnet (``scratch_stage``, which also trains the single-module
+baselines). Every training stage, pretraining included, is one
+``train_model`` run and every accuracy goes through ``evaluate``, so a
+checkpoint's reloaded accuracy is the one the stage logged. Both always
+check what they compute: a non-finite loss raises ``TrainingDivergedError``
+and non-finite logits raise ``GradientError``, each naming the config.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ from .prompts import bank_regions
 from .supernet import (
     PromptedModel,
     build_supernet,
+    eval_workers,
     evaluate,
     extract_subnet,
     fresh_subnet,
     train_model,
 )
-from .tensor import Tensor, debug_validation
+from .tensor import Tensor
 
 log = logging.getLogger("noah.pipeline")
 
@@ -92,24 +96,23 @@ def build_frozen_backbone(
 def train_supernet_stage(
     run: RunConfig, dataset: Dataset
 ) -> tuple[PromptedModel, dict[str, list[dict]]]:
-    with debug_validation(run.runtime.debug_validation):
-        cfg = backbone_config(run, dataset)
-        weights, spec, pretrain_log = build_frozen_backbone(run, cfg)
-        try:  # fail before supernet training if not even the smallest config fits
-            S.budget_sampler(spec)
-        except S.SpaceError as exc:
-            raise ConfigError(f"search_space: {exc}") from exc
-        rng = np.random.default_rng(run.seed)
-        sn = build_supernet(weights, cfg, spec, rng)
-        images, labels = dataset.normalized("train")
-        log.info(
-            "training supernet: budget %d params, %d train samples, %d epochs",
-            spec.budget, len(labels), run.supernet_hyper.total_epochs,
-        )
-        train_log = train_model(
-            sn, images, labels, run.supernet_hyper, rng,
-            lambda: S.sample_uniform(spec, rng),
-        )
+    cfg = backbone_config(run, dataset)
+    weights, spec, pretrain_log = build_frozen_backbone(run, cfg)
+    try:  # fail before supernet training if not even the smallest config fits
+        S.budget_sampler(spec)
+    except S.SpaceError as exc:
+        raise ConfigError(f"search_space: {exc}") from exc
+    rng = np.random.default_rng(run.seed)
+    sn = build_supernet(weights, cfg, spec, rng)
+    images, labels = dataset.normalized("train")
+    log.info(
+        "training supernet: budget %d params, %d train samples, %d epochs",
+        spec.budget, len(labels), run.supernet_hyper.total_epochs,
+    )
+    train_log = train_model(
+        sn, images, labels, run.supernet_hyper, rng,
+        lambda: S.sample_uniform(spec, rng),
+    )
     return sn, {"pretrain": pretrain_log, "train": train_log}
 
 
@@ -123,29 +126,31 @@ def evolve_stage(
     def fitness(configs: list[S.SubnetConfig]) -> list[float]:
         return evaluate(sn, images, labels, configs, counts=counts)
 
-    with debug_validation(run.runtime.debug_validation):
-        return evolve(
-            fitness,
-            sn.spec,
-            run.evolution,
-            rng,
-            seed_note=run.seed + 1,
-            counts=counts,
-        )
+    log.info("searching: candidates scored on %d thread(s)", eval_workers())
+    return evolve(fitness, sn.spec, run.evolution, rng, seed_note=run.seed + 1, counts=counts)
 
 
 def retrain_stage(
     run: RunConfig, sn: PromptedModel, config: S.SubnetConfig, dataset: Dataset
 ) -> tuple[PromptedModel, list[dict]]:
-    """Fixed-architecture training; warm-starts from inherited weights unless
-    the config asks for a from-scratch run."""
-    with debug_validation(run.runtime.debug_validation):
-        rng = np.random.default_rng(run.seed + 2)
-        if run.runtime.retrain_from_scratch:
-            model = fresh_subnet(sn.weights, sn.cfg, sn.spec, config, rng)
-        else:
-            model = extract_subnet(sn, config)
-        return model, _train_fixed(run, model, config, dataset, rng)
+    """Train ``config`` warm-started from the prompt tensors and head it
+    inherits from the supernet (``extract_subnet``), with seed
+    ``run.seed + 2``; the supernet is not written."""
+    rng = np.random.default_rng(run.seed + 2)
+    model = extract_subnet(sn, config)
+    return model, _train_fixed(run, model, config, dataset, rng)
+
+
+def scratch_stage(
+    run: RunConfig, sn: PromptedModel, config: S.SubnetConfig, dataset: Dataset
+) -> tuple[PromptedModel, list[dict]]:
+    """Train ``config`` from freshly initialized prompt tensors on the
+    supernet's backbone, from a copy of its head, with seed ``run.seed + 3``;
+    the supernet is not written. A single-module baseline is this stage on
+    ``matched_budget_single_module``'s config."""
+    rng = np.random.default_rng(run.seed + 3)
+    model = fresh_subnet(sn.weights, sn.cfg, sn.spec, config, rng)
+    return model, _train_fixed(run, model, config, dataset, rng)
 
 
 def _train_fixed(
@@ -162,9 +167,10 @@ def _train_fixed(
     )
 
 
-def matched_budget_single_module(spec: S.SearchSpaceSpec, module: str) -> tuple[int, int]:
-    """The (dim, depth) single-module design in the space with the most
-    parameters within the budget; a tie goes to the deeper design."""
+def matched_budget_single_module(spec: S.SearchSpaceSpec, module: str) -> S.SubnetConfig:
+    """The single-module config, one dim through ``depth`` layers, with the
+    most parameters of any such design in the space within the budget; a tie
+    goes to the deeper design."""
     designs = [
         (depth * S.module_layer_params(module, dim, spec.embed_dim), depth, dim)
         for depth in spec.depth_choices
@@ -174,32 +180,7 @@ def matched_budget_single_module(spec: S.SearchSpaceSpec, module: str) -> tuple[
     if not fitting:
         raise ConfigError(f"budget {spec.budget} admits no {module} design")
     _, depth, dim = max(fitting)
-    return dim, depth
-
-
-def baseline_stage(
-    run: RunConfig,
-    sn: PromptedModel,
-    dataset: Dataset,
-    module: str,
-    dim: int | None = None,
-    depth: int | None = None,
-) -> tuple[PromptedModel, list[dict], S.SubnetConfig]:
-    """Train one fixed prompt module from scratch on the supernet's backbone,
-    from a copy of its head, as a from-scratch retrain does; the supernet is
-    not written."""
-    with debug_validation(run.runtime.debug_validation):
-        if dim is None or depth is None:
-            auto_dim, auto_depth = matched_budget_single_module(sn.spec, module)
-            dim = dim if dim is not None else auto_dim
-            depth = depth if depth is not None else auto_depth
-        config = S.SubnetConfig.uniform(module, dim, depth, sn.spec.num_layers)
-        violations = [v for v in S.validate(config, sn.spec) if v.code != "over_budget"]
-        if violations:
-            raise ConfigError("; ".join(f"{v.code}: {v.message}" for v in violations))
-        rng = np.random.default_rng(run.seed + 3)
-        model = fresh_subnet(sn.weights, sn.cfg, sn.spec, config, rng)
-        return model, _train_fixed(run, model, config, dataset, rng), config
+    return S.SubnetConfig.uniform(module, dim, depth, spec.num_layers)
 
 
 # ---------------------------------------------------------------------------
@@ -272,5 +253,4 @@ def evaluate_checkpoint(
     model = supernet_from_checkpoint(path, run, dataset)
     _check_config_fits(model.weights, config)
     images, labels = dataset.normalized(split)
-    with debug_validation(run.runtime.debug_validation):
-        return evaluate(model, images, labels, [config])[0]
+    return evaluate(model, images, labels, [config])[0]

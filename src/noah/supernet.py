@@ -7,9 +7,9 @@ other model's. Each training step samples one subnet uniformly, runs it, and
 updates only the bank prefixes that subnet touched (plus the always-trainable
 classifier head). Any subnet can then be evaluated with inherited weights, or
 extracted into a model of the same type whose exact-size tensors reproduce
-the supernet forward bit for bit. A retrained or baseline subnet is the same
-type again, trained by the same ``train_model`` on a fixed config. So is the
-backbone while it pretrains: a model with no prompt tensors whose every
+the supernet forward bit for bit. A retrained or from-scratch subnet is the
+same type again, trained by the same ``train_model`` on a fixed config. So is
+the backbone while it pretrains: a model with no prompt tensors whose every
 weight trains, on the empty config.
 
 Evaluation scores a whole list of subnets through one ``model_forward``
@@ -193,8 +193,10 @@ def evaluate(
     once. With ``workers = eval_workers()`` above 1, worker w runs slices
     w, w + workers, ... in turn: worker 0 is the calling thread and the
     others run in a thread pool that lives only inside the call. ``no_grad``
-    is entered before they start, and they read the caller's grad and debug
-    flags, which are process-global. An exception in a slice is re-raised
+    is entered before they start, and they read the caller's grad flag, which
+    is process-global. Logits that are not all finite raise ``GradientError``
+    naming the config's encoding and the slice's rows, so a NaN weight or
+    image is never scored as a class. An exception in a slice is re-raised
     once every thread has joined. Accuracies are sums of integer hits, so
     they depend on the slicing alone: not on the worker count, the host, or
     the order slices finish in. The default batch size of 100 cuts the
@@ -223,8 +225,13 @@ def evaluate(
             lo, hi = slices[k]
             logits = model_forward(model.weights, model.cfg, images[lo:hi], configs,
                                    counts if k == 0 else None)
-            hits.append([int((out.data.argmax(axis=1) == labels[lo:hi]).sum())
-                         for out in logits])
+            slice_hits = []
+            for config, out in zip(configs, logits):
+                if not np.isfinite(out.data).all():
+                    raise T.GradientError(
+                        f"non-finite logits for config {config.encode()} on rows {lo}:{hi}")
+                slice_hits.append(int((out.data.argmax(axis=1) == labels[lo:hi]).sum()))
+            hits.append(slice_hits)
         return hits
 
     with T.no_grad():
@@ -269,5 +276,5 @@ def fresh_subnet(
     rng: np.random.Generator,
 ) -> PromptedModel:
     """Freshly initialized exact-size prompt tensors for ``config`` and a
-    copy of the given head (the supernet, baselines, from-scratch runs)."""
+    copy of the given head (the supernet and from-scratch runs)."""
     return _assemble(backbone_weights, cfg, spec, init_subnet_tensors(config, cfg.embed_dim, rng))

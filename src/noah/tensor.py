@@ -27,12 +27,18 @@ into an input's ``.data``, nor into the incoming gradient ``g`` of its
 backward closure, because ``add`` hands the same array to both inputs and
 ``reshape`` passes on a view of it.
 
-The grad-mode flag (``no_grad``) and the NaN/Inf check flag
-(``debug_validation``) are process-global, not per thread: a block that sets
-one sets it for every thread. ``supernet.evaluate`` enters ``no_grad`` before
-it starts its threads, and they run under the caller's flags. So do not train
-in one thread while another evaluates: the trainer's graph would stop
-recording.
+The grad-mode flag (``no_grad``) is the only process-global state, and it is
+not per thread: a block that sets it sets it for every thread.
+``supernet.evaluate`` enters ``no_grad`` before it starts its threads, and
+they run under the caller's flag. So do not train in one thread while another
+evaluates: the trainer's graph would stop recording.
+
+No op checks its output for NaN or Inf; training raises on a non-finite loss
+and ``supernet.evaluate`` on non-finite logits. To find the op where a NaN
+or Inf first appears, run the failing code under
+``np.errstate(invalid="raise", over="raise", divide="raise")``: numpy then
+raises ``FloatingPointError`` at the op that made it from finite values. A
+NaN or Inf that is already in a weight or an input is not reported there.
 
 ``matmul``, ``softmax`` and ``gelu`` stay only because the benchmark's tracer
 wraps them by name; the model runs ``linear``, ``attention`` and ``mlp``.
@@ -47,23 +53,11 @@ import numpy as np
 
 _SEQ = itertools.count()
 _GRAD_ENABLED = True
-_DEBUG_VALIDATE = False
 
 
 class GradientError(Exception):
-    """Raised on contract violations in the autodiff machinery."""
-
-
-@contextmanager
-def debug_validation(enabled: bool = True):
-    """Check every op output for NaN/Inf inside the block (off by default)."""
-    global _DEBUG_VALIDATE
-    prev = _DEBUG_VALIDATE
-    _DEBUG_VALIDATE = bool(enabled)
-    try:
-        yield
-    finally:
-        _DEBUG_VALIDATE = prev
+    """Raised on contract violations in the autodiff machinery, and by
+    ``supernet.evaluate`` on non-finite logits."""
 
 
 @contextmanager
@@ -137,8 +131,6 @@ def _entry(t: Tensor):
 
 
 def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if _DEBUG_VALIDATE and not np.all(np.isfinite(out_data)):
-        raise GradientError("non-finite value produced by an operation")
     out = Tensor(out_data)
     if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
         out.requires_grad = True

@@ -250,7 +250,7 @@ class TestReport:
         _, trace = E.evolve(toy_batch, spec, small_schedule(), np.random.default_rng(10))
         p = tmp_path / "trace.jsonl"
         trace.save(p)
-        _, summary = E.report(trace, top_k=5)
+        _, summary = E.report(trace)
 
         # independent recomputation from the file
         records = [json.loads(line) for line in p.read_text().splitlines()[1:]]
@@ -258,7 +258,8 @@ class TestReport:
         for rec in records:
             for c in rec["candidates"]:
                 seen[c["config"]] = (c["fitness"], c["params"])
-        ranked = sorted(seen.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))[:5]
+        ranked = sorted(seen.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))[:E.TOP_K]
+        assert len(ranked) == E.TOP_K
         for m_idx, m in enumerate(("adapter", "lora", "vpt")):
             for layer in range(2):
                 vals = []
@@ -266,13 +267,6 @@ class TestReport:
                     cfg = S.SubnetConfig.decode(enc)
                     vals.append(cfg.active_dim(m, layer))
                 assert summary["average_dims_top_k"][m][layer] == pytest.approx(np.mean(vals))
-
-    @pytest.mark.parametrize("top_k", [0, -1])
-    def test_top_k_below_one_rejected(self, top_k):
-        _, trace = E.evolve(toy_batch, toy_spec(), small_schedule(generations=0),
-                            np.random.default_rng(8))
-        with pytest.raises(E.EvolutionError, match=f"top_k must be >= 1, got {top_k}"):
-            E.report(trace, top_k=top_k)
 
     def test_corrupt_config_in_loaded_trace_is_a_space_error(self, tmp_path):
         """A top candidate whose lora depth exceeds its dims used to end the

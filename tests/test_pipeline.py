@@ -59,12 +59,17 @@ class TestConfig:
             ("runtime", "adapter_skip"),
             ("runtime", "lora_scale"),
             ("runtime", "decay_vpt"),
+            ("runtime", "debug_validation"),
+            ("runtime", "retrain_from_scratch"),
         ],
     )
     def test_removed_key_rejected(self, section, key):
-        """Keys of removed features fail up front, not silently."""
+        """Keys of removed features fail up front, not silently; so does the
+        removed ``runtime`` section itself."""
         doc = {section: {**TINY.get(section, {}), key: 4}}
-        with pytest.raises(ConfigError, match=rf"{section}: unknown keys \['{key}'\]"):
+        cause = (r"unknown top-level keys \['runtime'\]" if section == "runtime"
+                 else rf"{section}: unknown keys \['{key}'\]")
+        with pytest.raises(ConfigError, match=cause):
             config_from_dict(doc)
 
     @pytest.mark.parametrize(
@@ -91,10 +96,6 @@ class TestConfig:
                 ("pretrain.batch_size", 0, "base_lr and batch_size must be positive"),
                 ("pretrain.base_lr", -1, "base_lr and batch_size must be positive"),
                 ("pretrain.num_classes", 1, "num_classes must be at least 2, got 1"),
-                ("runtime.debug_validation", "false",
-                 "debug_validation must be true or false, got 'false'"),
-                ("runtime.retrain_from_scratch", 1,
-                 "retrain_from_scratch must be true or false, got 1"),
             ]
         ],
     )
@@ -138,8 +139,9 @@ class TestConfig:
 class TestStages:
     def test_baseline_matches_budget(self):
         run, dataset = tiny_run(search_space={"budget": 100})
-        model, log, config = P.baseline_stage(run, untrained_supernet(run, dataset), dataset,
-                                              "lora")
+        sn = untrained_supernet(run, dataset)
+        config = P.matched_budget_single_module(sn.spec, "lora")
+        model, log = P.scratch_stage(run, sn, config, dataset)
         # lora at dim 2 or at depth 2 exceeds 100 parameters
         assert config == S.SubnetConfig.uniform("lora", 1, 1, 2)
         assert S.count_params(config, model.spec.embed_dim) <= 100
@@ -151,9 +153,8 @@ class TestStages:
         assert all(0.0 <= r["val_acc"] <= 1.0 for r in log)
 
     def test_baseline_shares_the_supernet_backbone_and_head(self, monkeypatch):
-        """The baseline trains on the supernet's own backbone objects, from a
-        copy of its head, as a from-scratch retrain does, and writes nothing
-        into the supernet."""
+        """From-scratch training runs on the supernet's own backbone objects,
+        from a copy of its head, and writes nothing into the supernet."""
         run, dataset = tiny_run()
         sn, _ = P.train_supernet_stage(run, dataset)
         before = {n: t.data.copy() for n, t in sn.weights.items()}
@@ -164,7 +165,8 @@ class TestStages:
             return SN.train_model(model, *args, **kwargs)
 
         monkeypatch.setattr(P, "train_model", first_head)
-        model, _, _ = P.baseline_stage(run, sn, dataset, "adapter")
+        model, _ = P.scratch_stage(run, sn, P.matched_budget_single_module(sn.spec, "adapter"),
+                                   dataset)
         for name, t in model.weights.items():
             if name.startswith("backbone."):
                 assert t is sn.weights[name], name
@@ -185,7 +187,10 @@ class TestStages:
         }
         for budget in range(min(designs.values()), max(designs.values()) + 1):
             spec = dataclasses.replace(base, budget=budget)
-            dim, depth = P.matched_budget_single_module(spec, module)
+            config = P.matched_budget_single_module(spec, module)
+            gene = getattr(config, module)
+            dim, depth = gene.dims[0], gene.depth
+            assert config == S.SubnetConfig.uniform(module, dim, depth, 3)
             fitting = [(count, d) for (_, d), count in designs.items() if count <= budget]
             assert (designs[dim, depth], depth) == max(fitting)
         with pytest.raises(ConfigError, match=f"admits no {module} design"):
@@ -195,11 +200,9 @@ class TestStages:
     def test_matched_baseline_default_budget(self):
         spec = S.SearchSpaceSpec(4, budget=1517)
         matched = {m: P.matched_budget_single_module(spec, m) for m in S.MODULES}
-        assert matched == {"adapter": (5, 2), "lora": (5, 1), "vpt": (5, 4)}
-        counts = [
-            S.count_params(S.SubnetConfig.uniform(m, *matched[m], 4), spec.embed_dim)
-            for m in S.MODULES
-        ]
+        assert matched == {m: S.SubnetConfig.uniform(m, 5, depth, 4)
+                           for m, depth in (("adapter", 2), ("lora", 1), ("vpt", 4))}
+        counts = [S.count_params(matched[m], spec.embed_dim) for m in S.MODULES]
         assert counts == [1418, 1280, 1280]
 
     def test_pretraining_matches_reference_loop(self):
@@ -258,12 +261,11 @@ class TestStages:
 
     def test_retrain_from_scratch(self):
         run, dataset = tiny_run()
-        scratch_run, _ = tiny_run(runtime={"retrain_from_scratch": True})
         sn, _ = P.train_supernet_stage(run, dataset)
         before = {n: t.data.copy() for n, t in sn.weights.items()}
         config, _ = P.evolve_stage(run, sn, dataset)
         warm, warm_log = P.retrain_stage(run, sn, config, dataset)
-        fresh, fresh_log = P.retrain_stage(scratch_run, sn, config, dataset)
+        fresh, fresh_log = P.scratch_stage(run, sn, config, dataset)
         assert {n: t.shape for n, t in fresh.weights.items()} == {
             n: t.shape for n, t in warm.weights.items()
         }
@@ -296,6 +298,19 @@ class TestStages:
         P.save_model_weights(path, SN.extract_subnet(sn, stored).weights)
         config = S.SubnetConfig.decode(encoding)
         with pytest.raises(ConfigError, match=re.escape(encoding) + ".*" + re.escape(tensor)):
+            P.evaluate_checkpoint(path, config, run, dataset, "val")
+
+    def test_nan_head_in_checkpoint_raises_naming_the_config(self, tmp_path):
+        """A NaN head is an error naming the config, not an argmax of class 0
+        on every row (chance, 0.25, on four classes)."""
+        run, dataset = tiny_run()
+        sn = untrained_supernet(run, dataset)
+        sn.weights["head.w"].data[...] = np.nan
+        path = tmp_path / "supernet.noah"
+        P.save_model_weights(path, sn.weights)
+        config = S.sample_uniform(sn.spec, np.random.default_rng(0))
+        with pytest.raises(T.GradientError,
+                           match="non-finite logits for config " + re.escape(config.encode())):
             P.evaluate_checkpoint(path, config, run, dataset, "val")
 
     def test_supernet_checkpoint_round_trip(self, tmp_path):
@@ -422,40 +437,6 @@ class TestSearch:
             assert (g["block_forwards"] > 0) == (g["fresh"] > 0)
             assert g["block_trunks"] <= g["block_forwards"]
             assert (g["block_trunks"] > 0) == (g["fresh"] > 0)
-
-
-def nan_checks_on() -> bool:
-    try:
-        T.add(T.Tensor([1.0]), T.Tensor([np.inf]))
-    except T.GradientError:
-        return True
-    return False
-
-
-class TestDebugValidation:
-    """``runtime.debug_validation`` checks op outputs inside a stage only."""
-
-    @pytest.mark.parametrize("stage", ["supernet", "baseline"])
-    def test_flag_restored_after_stage(self, stage):
-        run, dataset = tiny_run(runtime={"debug_validation": True})
-        if stage == "supernet":
-            P.train_supernet_stage(run, dataset)
-        else:
-            P.baseline_stage(run, untrained_supernet(run, dataset), dataset, "adapter")
-        assert not nan_checks_on()
-
-    def test_flag_restored_when_stage_raises(self, monkeypatch):
-        run, dataset = tiny_run(runtime={"debug_validation": True})
-        seen = []
-
-        def failing_training(*args, **kwargs):
-            seen.append(nan_checks_on())
-            raise RuntimeError("training failed")
-
-        monkeypatch.setattr(P, "train_model", failing_training)
-        with pytest.raises(RuntimeError, match="training failed"):
-            P.train_supernet_stage(run, dataset)
-        assert seen == [True] and not nan_checks_on()
 
 
 def traced_peak(fn) -> int:

@@ -429,10 +429,10 @@ class TestEvaluateWorkers:
 
     @pytest.mark.parametrize("poison", ["bank", "row"])
     def test_worker_error_raised_after_join(self, workers, poison):
-        """A NaN under ``debug_validation`` raises ``GradientError`` from the
-        slice that meets it: in every slice for a poisoned bank, and only in
-        slice 1 (a pool thread's first, with 2 or 3 workers) for a poisoned
-        image row."""
+        """Non-finite logits raise ``GradientError`` from the slice that
+        meets them, naming the config and the slice's rows: in every slice
+        for a poisoned bank, and only in slice 1 (a pool thread's first, with
+        2 or 3 workers) for a poisoned image row."""
         cfg, spec, sn, _ = randomized_setup(seed=54)
         config = dims_config((2, 4), (1, 2), (2, 2))
         images, labels = rand_data(cfg, 37, seed=55)
@@ -441,7 +441,10 @@ class TestEvaluateWorkers:
         else:
             images[20] = np.nan  # slice 1 of 0-16-32-37
         before = threading.active_count()
-        with T.debug_validation(), pytest.raises(T.GradientError, match="non-finite"):
+        rows = "0:16" if poison == "bank" else "16:32"
+        with pytest.raises(T.GradientError,
+                           match=f"non-finite logits for config {re.escape(config.encode())} "
+                                 f"on rows {rows}"):
             SN.evaluate(sn, images, labels, [config], batch_size=SLICE)
         assert threading.active_count() == before
         assert records_graph()
