@@ -71,10 +71,6 @@ class BackboneConfig:
             raise ModelError(f"image {h}x{w} not divisible by patch size {self.patch_size}")
 
     @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.num_heads
-
-    @property
     def num_patches(self) -> int:
         _, h, w = self.image_shape
         return (h // self.patch_size) * (w // self.patch_size)

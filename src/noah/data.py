@@ -300,6 +300,11 @@ def load_dataset(root) -> Dataset:
             f"malformed manifest {path}: normalization mean must be finite and std positive "
             f"and finite, got mean {mean.tolist()} and std {std.tolist()}"
         )
+    generator = manifest.get("generator", {})
+    for key, value in (("splits", split_entries), ("generator", generator)):
+        if not isinstance(value, dict):
+            raise DataError(
+                f"malformed manifest {path}: {key} must be an object, got {value!r}")
     splits = {}
     for split, entry in split_entries.items():
         try:
@@ -310,6 +315,9 @@ def load_dataset(root) -> Dataset:
         if type(count) is not int or count < 0:
             raise DataError(f"malformed manifest {path}: split {split!r}: count must be a "
                             f"non-negative integer, got {count!r}")
+        if not (isinstance(images_file, str) and isinstance(labels_file, str)):
+            raise DataError(f"malformed manifest {path}: split {split!r}: file names must be "
+                            f"strings, got {images_file!r} and {labels_file!r}")
         raw = _read_split_file(root, split, images_file)
         expected = count * c * h * w
         if len(raw) != expected:
@@ -329,5 +337,5 @@ def load_dataset(root) -> Dataset:
         splits=splits,
         mean=mean,
         std=std,
-        generator=dict(manifest.get("generator", {})),
+        generator=dict(generator),
     )

@@ -127,6 +127,8 @@ class SearchTrace:
             missing = [key for key in ("candidates", "best_so_far") if key not in record]
             if missing:
                 raise EvolutionError(f"{path}:{number}: generation record lacks {missing}")
+            if not isinstance(record["candidates"], list):
+                raise EvolutionError(f"{path}:{number}: candidates is not a list")
             entries = [(f"candidate {i}", c, ("source", "config", "fitness", "params"))
                        for i, c in enumerate(record["candidates"])]
             entries.append(("best_so_far", record["best_so_far"], ("config", "fitness", "params")))

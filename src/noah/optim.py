@@ -97,10 +97,8 @@ class AdamW:
         for t in self.params.values():
             t.grad = None
 
-    def step(self, lr: float, regions: dict[str, tuple] | None = None) -> None:
+    def step(self, lr: float, regions: dict[str, tuple]) -> None:
         hp = self.hyper
-        if regions is None:
-            regions = {name: full_region(t) for name, t in self.params.items()}
         for name, region in regions.items():
             p = self.params[name]
             if p.grad is None:

@@ -192,14 +192,16 @@ def evaluate(
     logits from one ``model_forward``, which runs each distinct layer prefix
     once. With ``workers = eval_workers()`` above 1, worker w runs slices
     w, w + workers, ... in turn: worker 0 is the calling thread and the
-    others run in a thread pool that lives only inside the call. ``no_grad``
-    is entered before they start, and they read the caller's grad flag, which
-    is process-global. Logits that are not all finite raise ``GradientError``
-    naming the config's encoding and the slice's rows, so a NaN weight or
-    image is never scored as a class. An exception in a slice is re-raised
-    once every thread has joined. Accuracies are sums of integer hits, so
-    they depend on the slicing alone: not on the worker count, the host, or
-    the order slices finish in. The default batch size of 100 cuts the
+    others run in a thread pool that lives only inside the call. Every slice
+    runs on one frozen view of ``model.weights``: new tensors over the same
+    arrays that require no grad. So no op in the call records a graph, and a
+    model trained in another thread meanwhile records as always. Logits that
+    are not all finite raise ``GradientError`` naming the config's encoding
+    and the slice's rows, so a NaN weight or image is never scored as a
+    class. An exception in a slice is re-raised once every thread has
+    joined. Accuracies are sums of integer hits, so they depend on the
+    slicing alone: not on the worker count, the host, or the order slices
+    finish in. The default batch size of 100 cuts the
     benchmark's 200-row val split in two, one slice per core.
 
     ``counts``, when given, grows by one walk's blocks (see ``model_forward``):
@@ -217,13 +219,14 @@ def evaluate(
         raise ValueError(f"evaluation batch_size must be positive, got {batch_size}")
     slices = list(batch_slices(n, batch_size))
     workers = min(eval_workers(), len(slices))
+    weights = {name: Tensor(t.data) for name, t in model.weights.items()}
 
     def score(worker: int) -> list[list[int]]:
         """Per-config hits of each slice that ``worker`` runs."""
         hits = []
         for k in range(worker, len(slices), workers):
             lo, hi = slices[k]
-            logits = model_forward(model.weights, model.cfg, images[lo:hi], configs,
+            logits = model_forward(weights, model.cfg, images[lo:hi], configs,
                                    counts if k == 0 else None)
             slice_hits = []
             for config, out in zip(configs, logits):
@@ -234,13 +237,12 @@ def evaluate(
             hits.append(slice_hits)
         return hits
 
-    with T.no_grad():
-        if workers == 1:
-            shares = [score(0)]
-        else:
-            with ThreadPoolExecutor(workers - 1, thread_name_prefix="evaluate") as pool:
-                started = [pool.submit(score, w) for w in range(1, workers)]
-                shares = [score(0)] + [future.result() for future in started]
+    if workers == 1:
+        shares = [score(0)]
+    else:
+        with ThreadPoolExecutor(workers - 1, thread_name_prefix="evaluate") as pool:
+            started = [pool.submit(score, w) for w in range(1, workers)]
+            shares = [score(0)] + [future.result() for future in started]
     return [sum(col) / n for col in zip(*(hits for share in shares for hits in share))]
 
 

@@ -27,11 +27,11 @@ into an input's ``.data``, nor into the incoming gradient ``g`` of its
 backward closure, because ``add`` hands the same array to both inputs and
 ``reshape`` passes on a view of it.
 
-The grad-mode flag (``no_grad``) is the only process-global state, and it is
-not per thread: a block that sets it sets it for every thread.
-``supernet.evaluate`` enters ``no_grad`` before it starts its threads, and
-they run under the caller's flag. So do not train in one thread while another
-evaluates: the trainer's graph would stop recording.
+There is no grad mode: an op records exactly when one of its inputs
+requires grad, in any thread. To run without recording, run on tensors that
+require none. ``supernet.evaluate`` does so: it scores a frozen view of the
+weights, new tensors over the same arrays, so its threads record nothing, and
+a model trained in another thread meanwhile records as always.
 
 No op checks its output for NaN or Inf; training raises on a non-finite loss
 and ``supernet.evaluate`` on non-finite logits. To find the op where a NaN
@@ -47,12 +47,10 @@ wraps them by name; the model runs ``linear``, ``attention`` and ``mlp``.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 
 import numpy as np
 
 _SEQ = itertools.count()
-_GRAD_ENABLED = True
 
 
 class GradientError(Exception):
@@ -60,27 +58,15 @@ class GradientError(Exception):
     ``supernet.evaluate`` on non-finite logits."""
 
 
-@contextmanager
-def no_grad():
-    """Disable graph recording inside the block (used for evaluation)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
-
-
 class Tensor:
     """N-dimensional float array with an optional gradient slot.
 
     ``requires_grad`` marks trainable leaves; op outputs require grad iff any
-    input does and recording is enabled, and then carry the ``_node`` that
-    records how they were made. The node holds what the backward reads, not
-    this tensor: dropping an activation frees its array unless a backward
-    captured it. ``.grad`` is allocated lazily on the first backward pass and
-    never allocated for frozen tensors.
+    input does, and then carry the ``_node`` that records how they were made.
+    The node holds what the backward reads, not this tensor: dropping an
+    activation frees its array unless a backward captured it. ``.grad`` is
+    allocated lazily on the first backward pass and never allocated for
+    frozen tensors.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_node")
@@ -132,7 +118,7 @@ def _entry(t: Tensor):
 
 def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(out_data)
-    if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
+    if any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._node = Node(backward_fn, tuple(map(_entry, inputs)))
     return out
@@ -354,11 +340,11 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """gelu(x @ w1 + b1) @ w2 + b2 over the rows of all leading axes, one tape node.
 
     Each block of ``MLP_ROWS`` rows runs both GEMMs and the GELU between them
-    while its [rows, hidden] temporaries are still in cache. When recording,
-    the pre-activation and its tanh are written into saved [rows, hidden]
-    buffers for the backward; under ``no_grad`` nothing is saved. The input
-    rows are kept only when ``w1`` needs a gradient. The backward runs the
-    GELU derivative and the input gradient per block, and each weight
+    while its [rows, hidden] temporaries are still in cache. When an input
+    requires grad, the pre-activation and its tanh are written into saved
+    [rows, hidden] buffers for the backward; otherwise nothing is saved. The
+    input rows are kept only when ``w1`` needs a gradient. The backward runs
+    the GELU derivative and the input gradient per block, and each weight
     gradient as one GEMM or sum over all rows.
     """
     if (
@@ -369,7 +355,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     inputs = (x, w1, b1, w2, b2)
     needs = tuple(t.requires_grad for t in inputs)
     x_grad, w1_grad, b1_grad, w2_grad, b2_grad = needs
-    record = _GRAD_ENABLED and any(needs)
+    record = any(needs)
     rows = x.data.reshape(-1, x.shape[-1])
     n, hidden = rows.shape[0], w1.shape[1]
     dtype = rows.dtype

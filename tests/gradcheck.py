@@ -26,15 +26,14 @@ def numeric_grad(loss_fn, param: T.Tensor, h: float = 1e-5) -> np.ndarray:
     grad = np.zeros_like(base)
     flat = param.data.reshape(-1)
     gflat = grad.reshape(-1)
-    with T.no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = loss_fn().item()
-            flat[i] = orig - h
-            lo = loss_fn().item()
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2.0 * h)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        hi = loss_fn().item()
+        flat[i] = orig - h
+        lo = loss_fn().item()
+        flat[i] = orig
+        gflat[i] = (hi - lo) / (2.0 * h)
     param.data[...] = base
     return grad
 
@@ -70,7 +69,7 @@ def weighted_sum(t: T.Tensor, mix: T.Tensor | None = None) -> T.Tensor:
 
 
 def records_graph() -> bool:
-    """Whether an op records a graph right now, outside any ``no_grad``."""
+    """Whether an op records a graph right now."""
     x = T.Tensor(np.zeros(1), requires_grad=True)
     return T.add(x, x).requires_grad
 

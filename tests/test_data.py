@@ -154,6 +154,16 @@ class TestOnDiskFormat:
         with pytest.raises(D.DataError, match=re.escape(f"{root / 'manifest.json'}: {cause}")):
             D.load_dataset(root)
 
+    def test_non_string_file_name_named(self, tmp_path):
+        """A file name of 5 used to escape as a bare TypeError from the path join."""
+        root = tmp_path / "ds"
+        D.save_dataset(D.gen_synthetic("pattern-class", 4, 40, seed=4), root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["splits"]["val"]["labels_file"] = 5
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(D.DataError, match="split 'val': file names must be strings"):
+            D.load_dataset(root)
+
     def test_missing_split_file_named(self, tmp_path):
         root = tmp_path / "ds"
         D.save_dataset(D.gen_synthetic("pattern-class", 4, 40, seed=4), root)
@@ -171,17 +181,21 @@ class TestOnDiskFormat:
         ("num_classes", True, "num_classes must be a positive integer, got True"),
         ("num_classes", 0, "num_classes must be a positive integer, got 0"),
         ("num_classes", -1, "num_classes must be a positive integer, got -1"),
+        ("splits", [], "splits must be an object"),
+        ("generator", 5, "generator must be an object, got 5"),
+        ("generator", "ab", "generator must be an object, got 'ab'"),
     ])
     def test_bad_shape_or_normalization_named(self, tmp_path, key, value, cause):
         """Rejected at load, naming the manifest: a 2-entry shape used to
         escape as a bare ValueError, a 2-entry mean to broadcast the images
         to two channels, a zero std to give infinite pixels, a class count
         of 4.7 to load as 4 classes, true as 1, and -1 to fail only at the
-        first label."""
+        first label. A list of splits and a generator that is not an object
+        used to escape as bare AttributeError, TypeError or ValueError."""
         root = tmp_path / "ds"
         D.save_dataset(D.gen_synthetic("pattern-class", 4, 40, seed=4), root)
         manifest = json.loads((root / "manifest.json").read_text())
-        top_level = key in ("image_shape", "num_classes")
+        top_level = key not in ("mean", "std")
         (manifest if top_level else manifest["normalization"])[key] = value
         (root / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(D.DataError, match=rf"manifest {root / 'manifest.json'}: .*{cause}"):

@@ -204,6 +204,17 @@ class TestTraceFile:
         with pytest.raises(E.EvolutionError, match=rf"^{re.escape(str(p))}:3: .*'{key}'"):
             E.SearchTrace.load(p)
 
+    def test_candidates_not_a_list_names_path_and_line(self, tmp_path):
+        """``"candidates": 5`` used to escape as a bare TypeError."""
+        _, trace = E.evolve(toy_batch, toy_spec(), small_schedule(generations=1),
+                            np.random.default_rng(7))
+        trace.generations[1]["candidates"] = 5
+        p = tmp_path / "trace.jsonl"
+        trace.save(p)
+        with pytest.raises(E.EvolutionError,
+                           match=rf"^{re.escape(str(p))}:3: candidates is not a list"):
+            E.SearchTrace.load(p)
+
     @pytest.mark.parametrize("where", ["candidate 1", "best_so_far"])
     def test_entry_without_params_names_path_and_line(self, tmp_path, where):
         """A candidate or best-so-far entry without ``params`` fails at load,

@@ -7,6 +7,11 @@ from noah import optim as O
 from noah.tensor import Tensor
 
 
+def whole(opt):
+    """Every parameter's full region, as ``step`` takes regions."""
+    return {name: O.full_region(t) for name, t in opt.params.items()}
+
+
 def hyper(**kw):
     defaults = dict(base_lr=0.1, total_epochs=10, weight_decay=1e-3, warmup_epochs=2)
     defaults.update(kw)
@@ -18,7 +23,7 @@ class TestAdamW:
         p = Tensor(np.array([[1.0, -2.0]], np.float32), requires_grad=True)
         opt = O.AdamW({"w": p}, hyper(weight_decay=0.0))
         p.grad = np.zeros_like(p.data)
-        opt.step(lr=0.1)
+        opt.step(lr=0.1, regions=whole(opt))
         assert np.array_equal(p.data, [[1.0, -2.0]])
 
     def test_scalar_hand_computed_recurrence(self):
@@ -27,7 +32,7 @@ class TestAdamW:
         p = Tensor(np.array([[1.0]], np.float32), requires_grad=True)
         opt = O.AdamW({"w": p}, hyper(weight_decay=wd))
         p.grad = np.array([[0.5]], np.float32)
-        opt.step(lr=lr)
+        opt.step(lr=lr, regions=whole(opt))
         # hand-computed decoupled update
         m = (1 - b1) * 0.5
         v = (1 - b2) * 0.25
@@ -42,7 +47,7 @@ class TestAdamW:
         opt = O.AdamW({"w": p}, hyper(weight_decay=wd))
         for _ in range(3):
             p.grad = np.zeros_like(p.data)
-            opt.step(lr=lr)
+            opt.step(lr=lr, regions=whole(opt))
         assert abs(float(p.data[0, 0]) - 2.0 * (1 - lr * wd) ** 3) < 1e-6
 
     def test_weight_decay_zero_equals_adam_bitwise(self):
@@ -55,7 +60,7 @@ class TestAdamW:
         opt = O.AdamW({"w": p}, hyper(weight_decay=0.0))
         for g in grads:
             p.grad = g.copy()
-            opt.step(lr=0.01)
+            opt.step(lr=0.01, regions=whole(opt))
 
         # reference Adam recurrence, written independently
         b1, b2, eps = 0.9, 0.999, 1e-8
@@ -91,7 +96,7 @@ class TestAdamW:
         opt = O.AdamW({"layer.w": w, "layer.b": b, "vpt.L0.P": p}, hyper(weight_decay=0.5))
         for t in (w, b, p):
             t.grad = np.zeros_like(t.data)
-        opt.step(lr=0.1)
+        opt.step(lr=0.1, regions=whole(opt))
         assert not np.array_equal(w.data, np.ones((2, 2)))  # decayed
         assert np.array_equal(b.data, np.ones(2))  # bias skipped
         assert np.array_equal(p.data, np.ones((2, 2)))  # token bank skipped

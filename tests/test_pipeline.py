@@ -19,7 +19,7 @@ from noah.data import (
     channel_stats, gen_mixed_base_task, gen_synthetic, normalize_images, save_dataset,
 )
 from noah.evolution import SearchTrace
-from noah.optim import AdamW, batch_slices, lr_at
+from noah.optim import AdamW, batch_slices, full_region, lr_at
 
 from gradcheck import records_graph, reference_forward
 
@@ -236,7 +236,7 @@ class TestStages:
                 logits = reference_forward(ref, pre_cfg, images[idx])
                 loss = T.cross_entropy(logits, labels[idx])
                 T.backward(loss)
-                optimizer.step(lr)
+                optimizer.step(lr, {name: full_region(t) for name, t in ref.items()})
                 optimizer.zero_grad()
                 losses.append(loss.item())
                 step += 1
@@ -372,20 +372,27 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_bad_manifest_is_a_usage_error(self, tmp_path, capsys):
-        """A manifest whose image shape has two entries exits 2, naming it."""
+        """A manifest whose image shape has two entries, whose splits are a
+        list or whose generator is not an object exits 2, naming the key."""
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(TINY))
-        save_dataset(gen_synthetic("pattern-class", 4, 40, seed=3), tmp_path / "data")
-        manifest_path = tmp_path / "data" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["image_shape"] = [16, 16]
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(config_path), "--data", str(tmp_path / "data"),
-                  "--out", str(tmp_path / "out")])
-        assert exc.value.code == 2
-        assert "image_shape must be three positive integers" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        cases = [
+            ("image_shape", [16, 16], "image_shape must be three positive integers"),
+            ("splits", [], "splits must be an object"),
+            ("generator", "ab", "generator must be an object"),
+        ]
+        for key, value, cause in cases:
+            save_dataset(gen_synthetic("pattern-class", 4, 40, seed=3), tmp_path / "data")
+            manifest_path = tmp_path / "data" / "manifest.json"
+            manifest = json.loads(manifest_path.read_text())
+            manifest[key] = value
+            manifest_path.write_text(json.dumps(manifest))
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--config", str(config_path), "--data", str(tmp_path / "data"),
+                      "--out", str(tmp_path / "out")])
+            assert exc.value.code == 2
+            assert f"{manifest_path}: {cause}" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_bad_config_value_is_a_usage_error(self, tmp_path):
         """A value the config loader rejects exits 2 before any output."""

@@ -248,10 +248,9 @@ def labels_for(sn, images, config):
     """Centre the head bias on ``config``'s mean logits, so predictions
     spread over the classes, and return its predictions as labels: ``config``
     scores 1.0 and a block run with the wrong prefix changes accuracies."""
-    with T.no_grad():
-        logits = sn.forward(images, config).data
-        sn.weights["head.b"].data[...] -= logits.mean(axis=0)
-        return sn.forward(images, config).data.argmax(axis=1)
+    logits = sn.forward(images, config).data
+    sn.weights["head.b"].data[...] -= logits.mean(axis=0)
+    return sn.forward(images, config).data.argmax(axis=1)
 
 
 SLICE = 16  # evaluation batch size: 37 samples make two full slices and a ragged one
@@ -261,13 +260,12 @@ def whole_forward_accuracies(sn, images, labels, configs, batch_size=SLICE):
     """Accuracy of each config from a plain per-layer forward of that config
     alone per batch slice, cut as ``evaluate`` cuts them."""
     expected = []
-    with T.no_grad():
-        for c in configs:
-            correct = 0
-            for lo, hi in batch_slices(len(labels), batch_size):
-                logits = reference_forward(sn.weights, sn.cfg, images[lo:hi], c).data
-                correct += int((logits.argmax(axis=1) == labels[lo:hi]).sum())
-            expected.append(correct / len(labels))
+    for c in configs:
+        correct = 0
+        for lo, hi in batch_slices(len(labels), batch_size):
+            logits = reference_forward(sn.weights, sn.cfg, images[lo:hi], c).data
+            correct += int((logits.argmax(axis=1) == labels[lo:hi]).sum())
+        expected.append(correct / len(labels))
     return expected
 
 
@@ -368,6 +366,29 @@ class TestEvaluateWorkers:
         in_flight = min(workers, -(-n // batch_size))
         assert (len(threads) > 1) == (in_flight > 1) and len(threads) <= in_flight
         assert records_graph()
+
+    def test_forward_sees_recording_on_and_a_frozen_view(self, workers, monkeypatch):
+        """Evaluation sets no grad mode: while it runs, an op on a tensor that
+        requires grad records in every thread, and each slice's forward runs
+        on weights that require none, over the model's own arrays."""
+        cfg, spec, sn, _ = randomized_setup(seed=58)
+        images, labels = rand_data(cfg, 37, seed=59)
+        seen = []
+        forward = SN.model_forward
+
+        def probe(weights, *args):
+            logits = forward(weights, *args)
+            seen.append((
+                records_graph(),
+                not any(t.requires_grad for t in weights.values()),
+                all(weights[name].data is t.data for name, t in sn.weights.items()),
+                all(out._node is None for out in logits),
+            ))
+            return logits
+
+        monkeypatch.setattr(SN, "model_forward", probe)
+        SN.evaluate(sn, images, labels, walk_configs(), batch_size=SLICE)
+        assert len(seen) == 3 and all(all(flags) for flags in seen)
 
     @pytest.mark.parametrize("env,cpus,expected", [
         ({}, 2, 1),
