@@ -5,9 +5,12 @@ Generation 0 and each generation's random candidates are exact draws from
 later generation selects the top-k of everything evaluated so far and adds
 crossover children and mutants, each redrawn while over budget, up to
 ``MAX_TRIES`` times before a budget sample takes its place. Fitness and
-parameter count are cached by canonical encoding, so duplicates cost
-nothing. Ties break toward fewer parameters, then lexicographic encoding,
-which makes the whole search deterministic given one seed.
+parameter count are cached by encoding, so a repeated encoding costs
+nothing. Two encodings of one network (a depth over dims of 0) are two
+candidates here; a fitness function may memoize further, as the supernet
+stage (``pipeline.evolve_stage``) does by per-layer active dims. Ties break
+toward fewer parameters, then lexicographic encoding, which makes the whole
+search deterministic given one seed.
 
 The fitness function is called once per generation, in the calling thread,
 with that generation's fresh configs: deduplicated, none seen before, in

@@ -119,15 +119,40 @@ def train_supernet_stage(
 def evolve_stage(
     run: RunConfig, sn: PromptedModel, dataset: Dataset
 ) -> tuple[S.SubnetConfig, SearchTrace]:
+    """Search ``sn`` by val accuracy with inherited weights, with seed
+    ``run.seed + 1``.
+
+    ``evolve`` caches fitness by encoding, but a depth over dims of 0
+    re-encodes a network (``A3;1,0,0,0`` is ``A1;1,0,0,0``). So the fitness
+    keeps, for this call only, each network's accuracy by its
+    ``active_dims()`` and sends ``evaluate`` only the networks not scored
+    yet, in first-seen order. A twin gets the very accuracy ``evaluate``
+    would return, so the search and its trace are those of a fitness that
+    evaluates every config. Each trace generation records beside ``fresh``
+    the networks it ``scored``, and the total is logged."""
     images, labels = dataset.normalized("val")
     rng = np.random.default_rng(run.seed + 1)
-    counts: dict[str, int] = {}
+    counts: dict[str, int] = {"scored": 0}
+    accuracy: dict[tuple, float] = {}  # active dims -> val accuracy
 
     def fitness(configs: list[S.SubnetConfig]) -> list[float]:
-        return evaluate(sn, images, labels, configs, counts=counts)
+        networks = [config.active_dims() for config in configs]
+        new: dict[tuple, S.SubnetConfig] = {}
+        for network, config in zip(networks, configs):
+            if network not in accuracy:
+                new.setdefault(network, config)
+        counts["scored"] += len(new)
+        if new:
+            values = evaluate(sn, images, labels, list(new.values()), counts=counts)
+            accuracy.update(zip(new, values))
+        return [accuracy[network] for network in networks]
 
     log.info("searching: candidates scored on %d thread(s)", eval_workers())
-    return evolve(fitness, sn.spec, run.evolution, rng, seed_note=run.seed + 1, counts=counts)
+    best, trace = evolve(fitness, sn.spec, run.evolution, rng, seed_note=run.seed + 1,
+                         counts=counts)
+    log.info("search scored %d networks for %d fresh encodings", counts["scored"],
+             sum(g["fresh"] for g in trace.generations))
+    return best, trace
 
 
 def retrain_stage(

@@ -46,6 +46,15 @@ class SubnetConfig:
         g = self.gene(module)
         return g.dims[layer] if layer < g.depth else 0
 
+    def active_dims(self) -> tuple[tuple[int, ...], ...]:
+        """Per module, in ``MODULES`` order, the active dim at each layer.
+        The forward, ``count_params`` and ``prompts.active_slices`` read
+        nothing else, so configs with equal active dims are one network,
+        though a depth over dims of 0 gives it another encoding."""
+        return tuple(
+            tuple(self.active_dim(m, i) for i in range(self.num_layers)) for m in MODULES
+        )
+
     def encode(self) -> str:
         parts = []
         for m in MODULES:
@@ -207,8 +216,10 @@ def validate(config: SubnetConfig, spec: SearchSpaceSpec) -> list[Violation]:
 
 
 def canonicalize(config: SubnetConfig) -> SubnetConfig:
-    dims = {m: tuple(config.active_dim(m, i) for i in range(config.num_layers)) for m in MODULES}
-    return SubnetConfig(**{m: ModuleGene(config.gene(m).depth, dims[m]) for m in MODULES})
+    return SubnetConfig(**{
+        m: ModuleGene(config.gene(m).depth, dims)
+        for m, dims in zip(MODULES, config.active_dims())
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -198,10 +198,12 @@ def evaluate(
     model trained in another thread meanwhile records as always. Logits that
     are not all finite raise ``GradientError`` naming the config's encoding
     and the slice's rows, so a NaN weight or image is never scored as a
-    class. An exception in a slice is re-raised once every thread has
-    joined. Accuracies are sums of integer hits, so they depend on the
-    slicing alone: not on the worker count, the host, or the order slices
-    finish in. The default batch size of 100 cuts the
+    class. Every thread runs under the caller's ``np.errstate``, so under
+    ``invalid="raise"`` any slice raises ``FloatingPointError`` at the op
+    that makes a NaN. An exception in a slice is re-raised once every
+    thread has joined. Accuracies are sums of integer hits, so they depend
+    on the slicing alone: not on the worker count, the host, or the order
+    slices finish in. The default batch size of 100 cuts the
     benchmark's 200-row val split in two, one slice per core.
 
     ``counts``, when given, grows by one walk's blocks (see ``model_forward``):
@@ -240,8 +242,14 @@ def evaluate(
     if workers == 1:
         shares = [score(0)]
     else:
+        err = np.geterr()  # numpy's error state is per thread; a pool thread starts at the defaults
+
+        def pooled(worker: int) -> list[list[int]]:
+            with np.errstate(**err):
+                return score(worker)
+
         with ThreadPoolExecutor(workers - 1, thread_name_prefix="evaluate") as pool:
-            started = [pool.submit(score, w) for w in range(1, workers)]
+            started = [pool.submit(pooled, w) for w in range(1, workers)]
             shares = [score(0)] + [future.result() for future in started]
     return [sum(col) / n for col in zip(*(hits for share in shares for hits in share))]
 

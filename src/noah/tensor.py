@@ -37,8 +37,10 @@ No op checks its output for NaN or Inf; training raises on a non-finite loss
 and ``supernet.evaluate`` on non-finite logits. To find the op where a NaN
 or Inf first appears, run the failing code under
 ``np.errstate(invalid="raise", over="raise", divide="raise")``: numpy then
-raises ``FloatingPointError`` at the op that made it from finite values. A
-NaN or Inf that is already in a weight or an input is not reported there.
+raises ``FloatingPointError`` at the op that made it from finite values.
+This holds in ``supernet.evaluate``'s threads too: each runs under the error
+state of the thread that called it. A NaN or Inf that is already in a
+weight or an input is not reported there.
 
 ``matmul``, ``softmax`` and ``gelu`` stay only because the benchmark's tracer
 wraps them by name; the model runs ``linear``, ``attention`` and ``mlp``.

@@ -18,10 +18,10 @@ from noah.config import ConfigError, config_from_dict, load_run_config
 from noah.data import (
     channel_stats, gen_mixed_base_task, gen_synthetic, normalize_images, save_dataset,
 )
-from noah.evolution import SearchTrace
+from noah.evolution import SearchTrace, evolve
 from noah.optim import AdamW, batch_slices, full_region, lr_at
 
-from gradcheck import records_graph, reference_forward
+from gradcheck import reference_forward
 
 TINY = {
     "seed": 3,
@@ -407,11 +407,10 @@ class TestCli:
 
 
 class TestSearch:
-    def test_grad_mode_restored_after_search(self, tmp_path):
+    def test_search_retrain_and_checkpoint_agree(self, tmp_path):
         run, dataset = tiny_run()
         sn, _ = P.train_supernet_stage(run, dataset)
         best, trace = P.evolve_stage(run, sn, dataset)
-        assert records_graph()
         _, log = P.retrain_stage(run, sn, best, dataset)
         assert math.isfinite(log[-1]["train_loss"])
 
@@ -420,6 +419,50 @@ class TestSearch:
         P.save_model_weights(path, sn.weights)
         fitness = trace.generations[-1]["best_so_far"]["fitness"]
         assert P.evaluate_checkpoint(path, best, run, dataset, "val") == fitness
+
+    def test_fitness_scores_each_network_once(self, monkeypatch):
+        """A twin, another encoding of a network already scored, gets that
+        network's accuracy and never reaches ``evaluate``."""
+        run, dataset = tiny_run()
+        sn, _ = P.train_supernet_stage(run, dataset)
+        a = S.SubnetConfig.decode("A1;2,0|L1;1,0|V1;2,0")
+        twin = S.SubnetConfig.decode("A2;2,0|L1;1,0|V1;2,0")  # a's adapter off at layer 1
+        b = S.SubnetConfig.decode("A1;1,0|L1;1,0|V1;2,0")  # another network
+        sent, values, tallies = [], [], []
+        evaluate = P.evaluate
+
+        def recording(model, images, labels, configs, **kwargs):
+            sent.append([c.encode() for c in configs])
+            return evaluate(model, images, labels, configs, **kwargs)
+
+        def fake_evolve(fitness, spec, schedule, rng, seed_note=None, counts=None):
+            values.append(fitness([a]))
+            values.append(fitness([twin, b]))
+            tallies.append(dict(counts))
+            return a, SearchTrace({})
+
+        monkeypatch.setattr(P, "evaluate", recording)
+        monkeypatch.setattr(P, "evolve", fake_evolve)
+        P.evolve_stage(run, sn, dataset)
+        assert sent == [[a.encode()], [b.encode()]]
+        images, labels = dataset.normalized("val")
+        expected = evaluate(sn, images, labels, [a, twin, b])
+        assert values == [expected[:1], expected[1:]]
+        assert tallies[0]["scored"] == 2
+
+    def test_trace_equals_evaluating_every_config(self):
+        """The memo changes only the work: the trace is that of a fitness
+        that evaluates every fresh encoding. Seed 3 draws twins."""
+        run, dataset = tiny_run()
+        sn, _ = P.train_supernet_stage(run, dataset)
+        _, trace = P.evolve_stage(run, sn, dataset)
+        assert any(g["scored"] < g["fresh"] for g in trace.generations)
+        images, labels = dataset.normalized("val")
+        _, plain = evolve(lambda configs: SN.evaluate(sn, images, labels, configs),
+                          sn.spec, run.evolution, np.random.default_rng(run.seed + 1))
+        for got, want in zip(trace.generations, plain.generations, strict=True):
+            assert got["candidates"] == want["candidates"]
+            assert got["best_so_far"] == want["best_so_far"]
 
     def test_trace_counts_block_forwards(self, monkeypatch):
         # one worker: the trace counts one walk per evaluation, while this
@@ -439,11 +482,12 @@ class TestSearch:
         assert sum(g["block_trunks"] for g in trace.generations) == len(calls)
         for g in trace.generations:
             assert g["fresh"] + g["cache_hits"] == len(g["candidates"])
-            # at most one block per layer per fresh config; the val split is one batch slice
-            assert g["block_forwards"] <= g["fresh"] * run.backbone.num_layers
-            assert (g["block_forwards"] > 0) == (g["fresh"] > 0)
+            assert g["scored"] <= g["fresh"]
+            # at most one block per layer per scored network; the val split is one batch slice
+            assert g["block_forwards"] <= g["scored"] * run.backbone.num_layers
+            assert (g["block_forwards"] > 0) == (g["scored"] > 0)
             assert g["block_trunks"] <= g["block_forwards"]
-            assert (g["block_trunks"] > 0) == (g["fresh"] > 0)
+            assert (g["block_trunks"] > 0) == (g["scored"] > 0)
 
 
 def traced_peak(fn) -> int:

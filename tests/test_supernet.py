@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noah import optim as O
 from noah import supernet as SN
@@ -324,11 +326,33 @@ class TestSharedWalk:
         assert counts["block_trunks"] == trunk_keys == 1 + 4
         assert counts["block_trunks"] < counts["block_forwards"] == 4 + 7
 
-    def test_grad_mode_restored(self):
-        cfg, spec, sn, _ = randomized_setup(seed=34)
-        images, labels = rand_data(cfg, 8, seed=35)
-        SN.evaluate(sn, images, labels, walk_configs())
-        assert records_graph()
+
+@st.composite
+def twins(draw):
+    """A canonical two-layer config and its twin: one module's depth raised
+    over dims of 0, which re-encodes the same network."""
+    module = draw(st.sampled_from(MODULES))
+    genes = {}
+    for m in MODULES:
+        depth = draw(st.integers(0, 1 if m == module else 2))
+        dims = tuple(draw(st.sampled_from((0, 1, 2, 4))) if i < depth else 0 for i in range(2))
+        genes[m] = ModuleGene(depth, dims)
+    raised = draw(st.integers(genes[module].depth + 1, 2))
+    twin = {**genes, module: ModuleGene(raised, genes[module].dims)}
+    return SubnetConfig(**genes), SubnetConfig(**twin)
+
+
+class TestTwins:
+    @given(twins())
+    @settings(max_examples=30, deadline=None)
+    def test_twin_is_the_same_network(self, pair):
+        config, twin = pair
+        cfg, spec, sn, _ = randomized_setup(seed=38)
+        images, _ = rand_data(cfg, 6, seed=39)
+        assert twin.encode() != config.encode()
+        assert twin.active_dims() == config.active_dims()
+        assert count_params(twin, cfg.embed_dim) == count_params(config, cfg.embed_dim)
+        assert np.array_equal(sn.forward(images, twin).data, sn.forward(images, config).data)
 
 
 class TestEvaluateWorkers:
@@ -469,6 +493,18 @@ class TestEvaluateWorkers:
             SN.evaluate(sn, images, labels, [config], batch_size=SLICE)
         assert threading.active_count() == before
         assert records_graph()
+
+    def test_caller_errstate_holds_in_every_worker(self, workers):
+        """numpy's error state is per thread, and each worker runs under the
+        caller's: an Inf image row in slice 1, a pool thread's first with 2
+        or 3 workers, raises ``FloatingPointError`` at the op that meets it,
+        not ``GradientError`` at the logits."""
+        cfg, spec, sn, _ = randomized_setup(seed=60)
+        images, labels = rand_data(cfg, 32, seed=61)
+        images[20] = np.inf  # slice 1 of 0-16-32
+        with np.errstate(invalid="raise"):
+            with pytest.raises(FloatingPointError, match="invalid value"):
+                SN.evaluate(sn, images, labels, walk_configs(), batch_size=SLICE)
 
 
 class TestExtraction:
