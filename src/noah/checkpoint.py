@@ -1,23 +1,24 @@
-"""Bit-exact named-tensor container.
+"""Named-array container, and checkpoints built on it.
 
-Layout: magic "NOAH" | format version (u32 LE) | header length (u64 LE) |
-UTF-8 JSON header mapping tensor name -> {shape, dtype "f32", offset} |
-payload of concatenated little-endian float32 arrays. Offsets are ascending,
-non-overlapping, and cover the payload exactly; saving loaded tensors
-reproduces the file byte for byte.
+A container is the zip archive ``np.savez`` writes: one stored ``<name>.npy``
+member per array, names sorted, fixed 1980 timestamps, so saving loaded
+arrays reproduces the file byte for byte. ``load_arrays`` raises
+``CheckpointError`` naming the path: ``bad_magic`` unless the file starts with
+a zip local header (an old ``NOAH`` checkpoint or a bare ``.npy`` does not);
+``corrupt`` unless it ends with the 22-byte end record (``zipfile`` ignores
+trailing bytes), if ``zipfile`` fails (truncation, a CRC-32 mismatch), or if a
+member is not one array that ``read_array(allow_pickle=False)`` reads to its
+end. A checkpoint is a container of float32 arrays; so is a dataset (``data``).
 """
 
 from __future__ import annotations
 
-import json
 import os
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-
-MAGIC = b"NOAH"
-VERSION = 1
 
 
 class CheckpointError(Exception):
@@ -45,98 +46,49 @@ def atomic_write(path):
         raise
 
 
+def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` to ``path`` as one container, names sorted."""
+    # np.savez gets the handle, never the path, to which it would append ".npz"
+    with atomic_write(path) as f:
+        np.savez(f, **{name: arrays[name] for name in sorted(arrays)})
+
+
+def load_arrays(path) -> dict[str, np.ndarray]:
+    """Read and check a container written by ``save_arrays``."""
+    arrays, name = {}, None
+    with open(path, "rb") as f:
+        if f.read(4) != b"PK\x03\x04":
+            raise CheckpointError("bad_magic", f"{path} is not an np.savez archive")
+        f.seek(max(f.seek(0, os.SEEK_END) - 22, 0))  # np.savez writes no zip comment
+        if f.read(4) != b"PK\x05\x06":
+            raise CheckpointError("corrupt", f"{path} does not end with a zip end record")
+        try:
+            with zipfile.ZipFile(f) as archive:
+                for name in archive.namelist():
+                    with archive.open(name) as member:
+                        arrays[name.removesuffix(".npy")] = np.lib.format.read_array(
+                            member, allow_pickle=False)
+                        # zipfile checks the CRC-32 at the member's end, past a shrunk shape
+                        if member.read(1):
+                            raise ValueError("bytes past the array its header describes")
+        except (zipfile.BadZipFile, ValueError, EOFError, OSError) as exc:
+            where = f"{path}: member {name!r}" if name else str(path)
+            raise CheckpointError("corrupt", f"{where}: {exc}") from exc
+    return arrays
+
+
 def save_checkpoint(path, tensors: dict) -> None:
-    """Write name->array (or Tensor) map; names sorted for determinism."""
+    """Write name->array (or Tensor) map as float32."""
     if not tensors:
         raise CheckpointError("empty", "refusing to write a checkpoint with no tensors")
-    arrays = {}
-    for name, t in tensors.items():
-        arr = np.ascontiguousarray(getattr(t, "data", t), dtype="<f4")
-        arrays[name] = arr
-    header: dict = {"tensors": {}}
-    offset = 0
-    blobs = []
-    for name in sorted(arrays):
-        arr = arrays[name]
-        header["tensors"][name] = {
-            "shape": list(arr.shape),
-            "dtype": "f32",
-            "offset": offset,
-        }
-        blob = arr.tobytes()
-        blobs.append(blob)
-        offset += len(blob)
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with atomic_write(path) as f:
-        f.write(MAGIC)
-        f.write(np.array(VERSION, "<u4").tobytes())
-        f.write(np.array(len(header_bytes), "<u8").tobytes())
-        f.write(header_bytes)
-        for blob in blobs:
-            f.write(blob)
-
-
-def _header_entry(name: str, entry: dict) -> tuple[tuple[int, ...], str, int]:
-    """(shape, dtype, offset) of one header entry; the shape must be a list
-    of JSON integers and the offset a JSON integer, never truncated."""
-    shape, offset = entry["shape"], entry["offset"]
-    # type() and not isinstance(): JSON true/false load as bool, an int subclass
-    if not (isinstance(shape, list) and all(type(v) is int for v in [*shape, offset])):
-        raise CheckpointError(
-            "corrupt_header", f"{name}: shape {shape!r} and offset {offset!r} must be integers"
-        )
-    return tuple(shape), str(entry["dtype"]), offset
+    save_arrays(path, {name: np.ascontiguousarray(getattr(t, "data", t), dtype="<f4")
+                       for name, t in tensors.items()})
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read and validate a checkpoint; returns name -> float32 array."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:4] != MAGIC:
-        raise CheckpointError("bad_magic", f"{path} is not a checkpoint file")
-    version = int(np.frombuffer(raw[4:8], "<u4")[0])
-    if version != VERSION:
-        raise CheckpointError("unknown_version", f"format version {version}, expected {VERSION}")
-    header_len = int(np.frombuffer(raw[8:16], "<u8")[0])
-    if 16 + header_len > len(raw):
-        raise CheckpointError("corrupt_header", "header extends past end of file")
-    try:
-        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-        entries = header["tensors"]
-        if not isinstance(entries, dict):
-            raise CheckpointError(
-                "corrupt_header", f"'tensors' is a JSON {type(entries).__name__}, not an object"
-            )
-        parsed = {str(name): _header_entry(str(name), e) for name, e in entries.items()}
-    except (KeyError, TypeError, ValueError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError("corrupt_header", str(exc)) from exc
-
-    payload = raw[16 + header_len :]
-    expected_offset = 0
-    ordered = sorted(parsed.items(), key=lambda kv: kv[1][2])
-    for name, (shape, dtype, offset) in ordered:
-        if dtype != "f32":
-            raise CheckpointError("corrupt_header", f"{name}: unsupported dtype {dtype!r}")
-        if any(d < 0 for d in shape):
-            raise CheckpointError("corrupt_header", f"{name}: negative dimension in {list(shape)}")
-        if offset != expected_offset:
-            raise CheckpointError(
-                "corrupt_header",
-                f"{name}: offset {offset} leaves a gap or overlap at {expected_offset}",
-            )
-        expected_offset += int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
-    if expected_offset > len(payload):
-        raise CheckpointError(
-            "truncated_payload",
-            f"payload holds {len(payload)} bytes, header describes {expected_offset}",
-        )
-    if expected_offset < len(payload):
-        raise CheckpointError(
-            "corrupt_header",
-            f"payload holds {len(payload)} bytes beyond the {expected_offset} described",
-        )
-    out = {}
-    for name, (shape, _, offset) in ordered:
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        arr = np.frombuffer(payload, "<f4", count=size, offset=offset).reshape(shape)
-        out[name] = arr.copy()
-    return out
+    """Read a checkpoint; returns name -> float32 array."""
+    arrays = load_arrays(path)
+    for name, arr in arrays.items():
+        if arr.dtype != np.dtype("<f4"):
+            raise CheckpointError("bad_dtype", f"{path}: {name} is {arr.dtype}, not float32")
+    return arrays

@@ -1,15 +1,25 @@
 """Command-line entry point.
 
-``noah run --config run.json --data DIR --out OUT`` trains the supernet,
-searches it and retrains the best subnet. ``DIR`` is a dataset directory
-written by ``data.save_dataset``; without ``--data`` the config's
-``dataset.path`` is used. ``OUT`` receives:
+``noah run --config run.json --data FILE --out OUT`` trains the supernet,
+searches it and retrains the best subnet. ``FILE`` is a dataset file written
+by ``data.save_dataset``; without ``--data`` the config's ``dataset.path`` is
+used. One Python call makes such a file, a pattern-class task with 8 classes
+and 1,000 images::
+
+    save_dataset(gen_synthetic("pattern-class", 8, 1000, seed=3), "data.npz")
+
+``OUT`` receives:
 
 * ``config.json``: the resolved run config, defaults filled in;
 * ``supernet.noah`` and ``subnet.noah``: the trained supernet and the
-  retrained best subnet (``checkpoint`` format);
+  retrained best subnet (``checkpoint`` format, an ``np.savez`` archive);
 * ``search_trace.jsonl``: the search trace (``SearchTrace.load`` reads it);
 * ``report.txt``: the search summary from ``evolution.report``.
+
+Checkpoints and datasets from before both became ``np.savez`` archives no
+longer load: an old ``.noah`` file raises ``CheckpointError`` (``bad_magic``),
+and an old dataset directory with its ``manifest.json`` is a usage error
+naming the path.
 
 ``noah run`` sets no BLAS variable. The search scores its candidates on two
 threads only when ``OPENBLAS_NUM_THREADS=1`` is set before launch (see
@@ -40,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
         "run", help="train the supernet, search it, and retrain the best subnet"
     )
     run_cmd.add_argument("--config", required=True, help="run config JSON file")
-    run_cmd.add_argument("--data", help="dataset directory (overrides dataset.path)")
+    run_cmd.add_argument("--data", help="dataset file (overrides dataset.path)")
     run_cmd.add_argument("--out", required=True, help="output directory")
     args = parser.parse_args(argv)
 

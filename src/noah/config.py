@@ -92,7 +92,7 @@ class SpaceSection:
 
 @dataclass
 class DatasetSection:
-    path: str | None = None  # CLI --data overrides
+    path: str | None = None  # dataset file from data.save_dataset; noah run --data overrides it
 
 
 @dataclass

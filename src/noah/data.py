@@ -1,9 +1,14 @@
 """Synthetic image-classification datasets and their on-disk format.
 
-Images are raw unsigned bytes ([count, C, H, W], row-major), labels are
-little-endian unsigned 16-bit, and the manifest is a JSON document describing
-shapes, splits and normalization statistics. Everything is a deterministic
-function of (parameters, seed).
+Everything is a deterministic function of (parameters, seed). On disk a
+dataset is one ``checkpoint.save_arrays`` container: ``<split>_images`` (uint8
+``[n, C, H, W]``) and ``<split>_labels`` (uint16 ``[n]``) per split, and a 0-d
+JSON string ``manifest`` with ``name``, ``num_classes``, ``generator`` and
+``normalization`` (a ``mean`` and ``std`` per channel). ``load_dataset``
+raises ``DataError`` naming the path and the key on a file the container
+loader rejects, keys that do not pair up into splits of equal ``n`` and one
+``[C, H, W]`` (the ``image_shape``), a label out of range or a manifest value
+of the wrong type or range.
 
 Two task families:
   pattern-class  each class is a distinct orientation/frequency texture
@@ -15,11 +20,10 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_write
+from .checkpoint import CheckpointError, load_arrays, save_arrays
 
 log = logging.getLogger("noah.data")
 
@@ -225,117 +229,61 @@ def split_vtab_style(labels: np.ndarray, seed: int):
 # on-disk format
 
 
-def save_dataset(ds: Dataset, root) -> None:
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {
-        "name": ds.name,
-        "num_classes": ds.num_classes,
-        "image_shape": list(ds.image_shape),
-        "splits": {},
-        "generator": ds.generator,
-        "normalization": {
-            "mean": [float(v) for v in ds.mean],
-            "std": [float(v) for v in ds.std],
-        },
-    }
-    files: dict[str, bytes] = {}
-    for split, (images, labels) in sorted(ds.splits.items()):
-        images_file = f"{split}_images.bin"
-        labels_file = f"{split}_labels.bin"
-        files[images_file] = np.ascontiguousarray(images, np.uint8).tobytes()
-        files[labels_file] = labels.astype("<u2").tobytes()
-        manifest["splits"][split] = {
-            "images_file": images_file,
-            "labels_file": labels_file,
-            "count": int(len(labels)),
-        }
-    files["manifest.json"] = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
-    # Every file is encoded before any is written, so a split that cannot be
-    # stored leaves the previous save untouched; the manifest goes last.
-    for name, blob in files.items():
-        with atomic_write(root / name) as f:
-            f.write(blob)
+def save_dataset(ds: Dataset, path) -> None:
+    """Write ``ds`` to ``path`` as one container (see the module docstring)."""
+    manifest = {"name": ds.name, "num_classes": ds.num_classes, "generator": ds.generator,
+                "normalization": {"mean": ds.mean.tolist(), "std": ds.std.tolist()}}
+    arrays = {"manifest": np.array(json.dumps(manifest, sort_keys=True))}
+    for split, (images, labels) in ds.splits.items():
+        arrays[f"{split}_images"] = np.ascontiguousarray(images, np.uint8)
+        arrays[f"{split}_labels"] = labels.astype("<u2")
+    save_arrays(path, arrays)
 
 
-def _read_split_file(root: Path, split: str, name: str) -> bytes:
+def load_dataset(path) -> Dataset:
+    """Read and check a dataset written by ``save_dataset``."""
     try:
-        return (root / name).read_bytes()
-    except OSError as exc:
-        raise DataError(f"split {split!r}: cannot read {name}: {exc.strerror}") from exc
+        arrays = load_arrays(path)
+    except (CheckpointError, OSError) as exc:
+        raise DataError(f"cannot load dataset {path}: {exc}") from exc
 
-
-def load_dataset(root) -> Dataset:
-    root = Path(root)
-    path = root / "manifest.json"
-    if not path.exists():
-        raise DataError(f"no manifest at {path}")
+    bad = f"malformed dataset {path}: "
     try:
-        manifest = json.loads(path.read_text())
-        num_classes = manifest["num_classes"]
-        image_shape = tuple(manifest["image_shape"])
-        mean = np.asarray(manifest["normalization"]["mean"], np.float32)
-        std = np.asarray(manifest["normalization"]["std"], np.float32)
-        split_entries = manifest["splits"]
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise DataError(f"malformed manifest {path}: {exc}") from exc
+        manifest = json.loads(arrays.pop("manifest").item())
+        name, num_classes = str(manifest["name"]), manifest["num_classes"]
+        generator = manifest["generator"]
+        mean, std = (np.asarray(manifest["normalization"][k], np.float32) for k in ("mean", "std"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{bad}manifest: {exc!r}") from exc
     if type(num_classes) is not int or num_classes < 1:
-        raise DataError(
-            f"malformed manifest {path}: num_classes must be a positive integer, "
-            f"got {num_classes!r}"
-        )
-    if len(image_shape) != 3 or not all(type(v) is int and v > 0 for v in image_shape):
-        raise DataError(
-            f"malformed manifest {path}: image_shape must be three positive integers, "
-            f"got {list(image_shape)}"
-        )
-    c, h, w = image_shape
-    if mean.shape != (c,) or std.shape != (c,):
-        raise DataError(
-            f"malformed manifest {path}: normalization needs one mean and one std per "
-            f"channel ({c}), got mean {mean.tolist()} and std {std.tolist()}"
-        )
-    if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
-        raise DataError(
-            f"malformed manifest {path}: normalization mean must be finite and std positive "
-            f"and finite, got mean {mean.tolist()} and std {std.tolist()}"
-        )
-    generator = manifest.get("generator", {})
-    for key, value in (("splits", split_entries), ("generator", generator)):
-        if not isinstance(value, dict):
-            raise DataError(
-                f"malformed manifest {path}: {key} must be an object, got {value!r}")
+        raise DataError(f"{bad}num_classes must be a positive integer, got {num_classes!r}")
+    if not isinstance(generator, dict):
+        raise DataError(f"{bad}generator must be an object, got {generator!r}")
+    names = sorted({key.rpartition("_")[0] for key in arrays})
+    expected = {f"{split}_{kind}" for split in names for kind in ("images", "labels")}
+    if set(arrays) != expected:
+        raise DataError(f"{bad}{sorted(expected ^ set(arrays))} do not pair up as <split>_images "
+                        "and <split>_labels")
     splits = {}
-    for split, entry in split_entries.items():
-        try:
-            count = entry["count"]
-            images_file, labels_file = entry["images_file"], entry["labels_file"]
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"malformed manifest {path}: split {split!r}: {exc!r}") from exc
-        if type(count) is not int or count < 0:
-            raise DataError(f"malformed manifest {path}: split {split!r}: count must be a "
-                            f"non-negative integer, got {count!r}")
-        if not (isinstance(images_file, str) and isinstance(labels_file, str)):
-            raise DataError(f"malformed manifest {path}: split {split!r}: file names must be "
-                            f"strings, got {images_file!r} and {labels_file!r}")
-        raw = _read_split_file(root, split, images_file)
-        expected = count * c * h * w
-        if len(raw) != expected:
-            raise DataError(f"{images_file}: {len(raw)} bytes, manifest implies {expected}")
-        images = np.frombuffer(raw, np.uint8).reshape(count, c, h, w)
-        raw = _read_split_file(root, split, labels_file)
-        if len(raw) != count * 2:
-            raise DataError(f"{labels_file}: {len(raw)} bytes, manifest implies {count * 2}")
-        labels = np.frombuffer(raw, "<u2").astype(np.uint16)
-        if labels.size and labels.max() >= num_classes:
-            raise DataError(f"label {labels.max()} out of range for {num_classes} classes")
+    for split in names:
+        images, labels = arrays[f"{split}_images"], arrays[f"{split}_labels"]
+        if (images.dtype, images.ndim, labels.dtype, labels.shape) != (
+                np.uint8, 4, np.uint16, images.shape[:1]) or 0 in images.shape[1:]:
+            raise DataError(f"{bad}split {split!r} needs uint8 [n, C, H, W] images, C, H, W > 0, "
+                            f"and uint16 [n] labels, got {images.dtype} {list(images.shape)} and "
+                            f"{labels.dtype} {list(labels.shape)}")
+        if (labels >= num_classes).any():
+            raise DataError(f"{bad}{split}_labels: label {labels.max()} out of range for "
+                            f"{num_classes} classes")
         splits[split] = (images, labels)
-    return Dataset(
-        name=str(manifest.get("name", root.name)),
-        num_classes=num_classes,
-        image_shape=image_shape,
-        splits=splits,
-        mean=mean,
-        std=std,
-        generator=dict(generator),
-    )
+    shapes = {images.shape[1:] for images, _ in splits.values()}
+    if len(shapes) != 1:
+        raise DataError(f"{bad}needs splits of one [C, H, W], got {sorted(map(list, shapes))}")
+    image_shape = shapes.pop()
+    if not (mean.shape == std.shape == image_shape[:1] and np.isfinite([mean, std]).all()
+            and (std > 0).all()):
+        raise DataError(f"{bad}normalization needs one mean and one std per channel "
+                        f"({image_shape[0]}), mean must be finite and std positive, got "
+                        f"{mean.tolist()} and {std.tolist()}")
+    return Dataset(name=name, num_classes=num_classes, image_shape=image_shape,
+                   splits=splits, mean=mean, std=std, generator=generator)

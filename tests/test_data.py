@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from noah import checkpoint as C
 from noah import data as D
 
 
@@ -13,10 +14,10 @@ class TestGenerators:
         for sub, task in (("a", "pattern-class"), ("b", "shape-count")):
             d1 = D.gen_synthetic(task, 8, 64, seed=3)
             d2 = D.gen_synthetic(task, 8, 64, seed=3)
-            D.save_dataset(d1, tmp_path / sub / "one")
-            D.save_dataset(d2, tmp_path / sub / "two")
-            for f in sorted((tmp_path / sub / "one").iterdir()):
-                assert f.read_bytes() == (tmp_path / sub / "two" / f.name).read_bytes(), f.name
+            one, two = tmp_path / f"{sub}1.npz", tmp_path / f"{sub}2.npz"
+            D.save_dataset(d1, one)
+            D.save_dataset(d2, two)
+            assert one.read_bytes() == two.read_bytes()
 
     def test_different_seed_differs(self):
         a, _ = D.gen_pattern_class(4, 16, seed=0)
@@ -92,88 +93,112 @@ class TestSplit:
             D.split_vtab_style(np.array([0, 1], np.uint16), seed=0)
 
 
+def saved(tmp_path, manifest=(), **arrays):
+    """Path of a saved 4-class dataset with the ``manifest`` keys (``mean``
+    and ``std`` under ``normalization``) and the named arrays replaced; a
+    ``None`` value deletes the key."""
+    path = tmp_path / "ds.npz"
+    D.save_dataset(D.gen_synthetic("pattern-class", 4, 40, seed=4), path)
+    stored = C.load_arrays(path)
+    doc = json.loads(stored["manifest"].item())
+    for key, value in dict(manifest).items():
+        (doc["normalization"] if key in ("mean", "std") else doc)[key] = value
+    stored["manifest"] = np.array(json.dumps({k: v for k, v in doc.items() if v is not None}))
+    stored.update(arrays)
+    C.save_arrays(path, {k: v for k, v in stored.items() if v is not None})
+    return path
+
+
 class TestOnDiskFormat:
     def test_roundtrip(self, tmp_path):
         ds = D.gen_synthetic("shape-count", 4, 40, seed=4)
-        D.save_dataset(ds, tmp_path / "ds")
-        loaded = D.load_dataset(tmp_path / "ds")
+        D.save_dataset(ds, tmp_path / "ds.npz")
+        loaded = D.load_dataset(tmp_path / "ds.npz")
         assert loaded.num_classes == 4
         assert loaded.image_shape == (1, 16, 16)
+        assert (loaded.name, loaded.generator) == (ds.name, ds.generator)
         for split in ("train", "val"):
-            np.testing.assert_array_equal(loaded.split(split)[0], ds.split(split)[0])
-            np.testing.assert_array_equal(loaded.split(split)[1], ds.split(split)[1])
-        np.testing.assert_allclose(loaded.mean, ds.mean)
+            for got, want in zip(loaded.split(split), ds.split(split)):
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                                 want.tobytes())
+        assert loaded.mean.tobytes() == ds.mean.tobytes()
+        assert loaded.std.tobytes() == ds.std.tobytes()
+
+    def test_save_load_save_byte_identical(self, tmp_path):
+        D.save_dataset(D.gen_synthetic("shape-count", 4, 40, seed=4), tmp_path / "a.npz")
+        D.save_dataset(D.load_dataset(tmp_path / "a.npz"), tmp_path / "b.npz")
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
     def test_truncated_images_rejected(self, tmp_path):
-        ds = D.gen_synthetic("shape-count", 4, 40, seed=4)
-        D.save_dataset(ds, tmp_path / "ds")
-        f = tmp_path / "ds" / "train_images.bin"
-        f.write_bytes(f.read_bytes()[:-1])
-        with pytest.raises(D.DataError, match="bytes"):
-            D.load_dataset(tmp_path / "ds")
+        path = saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:-100])
+        with pytest.raises(D.DataError, match=re.escape(f"cannot load dataset {path}")):
+            D.load_dataset(path)
+
+    def test_flipped_image_byte_rejected(self, tmp_path):
+        """One changed pixel fails the member's CRC-32 instead of loading."""
+        path = saved(tmp_path)
+        images = D.gen_synthetic("pattern-class", 4, 40, seed=4).split("val")[0]
+        raw = bytearray(path.read_bytes())
+        raw[bytes(raw).index(images.tobytes()) + 17] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(D.DataError, match=re.escape(f"cannot load dataset {path}")):
+            D.load_dataset(path)
 
     def test_label_size_must_match_count(self, tmp_path):
-        ds = D.gen_synthetic("pattern-class", 4, 40, seed=4)
-        D.save_dataset(ds, tmp_path / "ds")
-        f = tmp_path / "ds" / "val_labels.bin"
-        f.write_bytes(f.read_bytes() + b"\x00\x00")
-        with pytest.raises(D.DataError, match="manifest implies"):
-            D.load_dataset(tmp_path / "ds")
+        """Images and labels of unequal length, stored apart in the old format
+        and checked against a count there, are one split's pair here."""
+        labels = D.gen_synthetic("pattern-class", 4, 40, seed=4).split("val")[1]
+        path = saved(tmp_path, val_labels=labels[:-1])
+        with pytest.raises(D.DataError, match=re.escape(
+                "split 'val' needs uint8 [n, C, H, W] images, C, H, W > 0, and uint16 [n] labels, "
+                "got uint8 [8, 1, 16, 16] and uint16 [7]")):
+            D.load_dataset(path)
+
+    def test_zero_image_dim_rejected(self, tmp_path):
+        """The old manifest's image_shape had to be positive; the shape now
+        comes from the arrays, which are checked the same way."""
+        images = D.gen_synthetic("pattern-class", 4, 40, seed=4).split("val")[0]
+        path = saved(tmp_path, val_images=images[:, :, :0])
+        with pytest.raises(D.DataError, match=re.escape("got uint8 [8, 1, 0, 16] and uint16 [8]")):
+            D.load_dataset(path)
+
+    def test_missing_split_file_named(self, tmp_path):
+        for key in ("val_images", "val_labels"):
+            path = saved(tmp_path, **{key: None})
+            with pytest.raises(D.DataError, match=re.escape(f"['{key}'] do not pair up")):
+                D.load_dataset(path)
+
+    def test_split_shapes_must_agree(self, tmp_path):
+        images = D.gen_synthetic("pattern-class", 4, 40, seed=4).split("val")[0]
+        no_split = {f"{split}_{kind}": None for split in ("train", "val")
+                    for kind in ("images", "labels")}
+        for arrays, shapes in (({"val_images": images[:, :, :8]}, "[[1, 8, 16], [1, 16, 16]]"),
+                               (no_split, "[]")):
+            path = saved(tmp_path, **arrays)
+            with pytest.raises(D.DataError, match=re.escape(
+                    f"needs splits of one [C, H, W], got {shapes}")):
+                D.load_dataset(path)
+
+    def test_label_out_of_range_named(self, tmp_path):
+        path = saved(tmp_path, {"num_classes": 3})
+        with pytest.raises(D.DataError, match="train_labels: label 3 out of range for 3"):
+            D.load_dataset(path)
 
     def test_failed_save_keeps_previous_files(self, tmp_path):
-        root = tmp_path / "ds"
-        D.save_dataset(D.gen_synthetic("pattern-class", 4, 40, seed=4), root)
-        before = {f.name: f.read_bytes() for f in root.iterdir()}
+        path = saved(tmp_path)
+        before = path.read_bytes()
         ds = D.gen_synthetic("pattern-class", 4, 40, seed=5)
         images, labels = ds.splits["val"]
         ds.splits["val"] = (images, np.array([object()] * len(labels)))  # not storable as u16
         with pytest.raises(TypeError):
-            D.save_dataset(ds, root)
-        assert {f.name: f.read_bytes() for f in root.iterdir()} == before
-
-    def test_split_entry_without_count_named(self, tmp_path):
-        root = tmp_path / "ds"
-        D.save_dataset(D.gen_synthetic("pattern-class", 4, 40, seed=4), root)
-        manifest = json.loads((root / "manifest.json").read_text())
-        del manifest["splits"]["val"]["count"]
-        (root / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(D.DataError, match="split 'val'.*count"):
-            D.load_dataset(root)
-
-    @pytest.mark.parametrize("count", [32.9, "32", True, -1])
-    def test_non_integer_or_negative_count_named(self, tmp_path, count):
-        """A split's count must be a non-negative JSON integer: 32.9 and "32"
-        used to load the 32-sample train split through int() without error."""
-        root = tmp_path / "ds"
-        D.save_dataset(D.gen_synthetic("pattern-class", 4, 40, seed=4), root)
-        manifest = json.loads((root / "manifest.json").read_text())
-        assert manifest["splits"]["train"]["count"] == 32
-        manifest["splits"]["train"]["count"] = count
-        (root / "manifest.json").write_text(json.dumps(manifest))
-        cause = f"split 'train': count must be a non-negative integer, got {count!r}"
-        with pytest.raises(D.DataError, match=re.escape(f"{root / 'manifest.json'}: {cause}")):
-            D.load_dataset(root)
-
-    def test_non_string_file_name_named(self, tmp_path):
-        """A file name of 5 used to escape as a bare TypeError from the path join."""
-        root = tmp_path / "ds"
-        D.save_dataset(D.gen_synthetic("pattern-class", 4, 40, seed=4), root)
-        manifest = json.loads((root / "manifest.json").read_text())
-        manifest["splits"]["val"]["labels_file"] = 5
-        (root / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(D.DataError, match="split 'val': file names must be strings"):
-            D.load_dataset(root)
-
-    def test_missing_split_file_named(self, tmp_path):
-        root = tmp_path / "ds"
-        D.save_dataset(D.gen_synthetic("pattern-class", 4, 40, seed=4), root)
-        (root / "val_images.bin").unlink()
-        with pytest.raises(D.DataError, match="split 'val'.*val_images.bin"):
-            D.load_dataset(root)
+            D.save_dataset(ds, path)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["ds.npz"]
 
     @pytest.mark.parametrize("key, value, cause", [
-        ("image_shape", [16, 16], "image_shape must be three positive integers"),
-        ("image_shape", [1, 0, 16], "image_shape must be three positive integers"),
+        ("generator", [1], "generator must be an object, got [1]"),
+        ("normalization", [0.5], "manifest: TypeError"),
         ("mean", [0.5, 0.5], "one mean and one std per channel"),
         ("std", [0.0], "std positive"),
         ("mean", [float("nan")], "mean must be finite"),
@@ -181,29 +206,41 @@ class TestOnDiskFormat:
         ("num_classes", True, "num_classes must be a positive integer, got True"),
         ("num_classes", 0, "num_classes must be a positive integer, got 0"),
         ("num_classes", -1, "num_classes must be a positive integer, got -1"),
-        ("splits", [], "splits must be an object"),
+        ("num_classes", None, "manifest: KeyError('num_classes')"),
         ("generator", 5, "generator must be an object, got 5"),
         ("generator", "ab", "generator must be an object, got 'ab'"),
     ])
     def test_bad_shape_or_normalization_named(self, tmp_path, key, value, cause):
-        """Rejected at load, naming the manifest: a 2-entry shape used to
-        escape as a bare ValueError, a 2-entry mean to broadcast the images
-        to two channels, a zero std to give infinite pixels, a class count
-        of 4.7 to load as 4 classes, true as 1, and -1 to fail only at the
-        first label. A list of splits and a generator that is not an object
-        used to escape as bare AttributeError, TypeError or ValueError."""
-        root = tmp_path / "ds"
-        D.save_dataset(D.gen_synthetic("pattern-class", 4, 40, seed=4), root)
-        manifest = json.loads((root / "manifest.json").read_text())
-        top_level = key not in ("mean", "std")
-        (manifest if top_level else manifest["normalization"])[key] = value
-        (root / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(D.DataError, match=rf"manifest {root / 'manifest.json'}: .*{cause}"):
-            D.load_dataset(root)
+        """Rejected at load, naming the file: a 2-entry mean used to
+        broadcast the images to two channels, a zero std to give infinite
+        pixels, a class count of 4.7 to load as 4 classes, true as 1, and -1
+        to fail only at the first label. A generator that is not an object
+        used to escape as a bare AttributeError, TypeError or ValueError."""
+        path = saved(tmp_path, {key: value})
+        with pytest.raises(D.DataError, match=re.escape(f"malformed dataset {path}: ") + ".*"
+                           + re.escape(cause)):
+            D.load_dataset(path)
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(D.DataError, match="manifest"):
-            D.load_dataset(tmp_path / "nope")
+        path = saved(tmp_path)
+        C.save_arrays(path, {k: v for k, v in C.load_arrays(path).items() if k != "manifest"})
+        with pytest.raises(D.DataError, match=re.escape(
+                f"malformed dataset {path}: manifest: KeyError('manifest')")):
+            D.load_dataset(path)
+
+    @pytest.mark.parametrize("manifest", [np.array(["{}", "{}"]), np.array(b"[]")])
+    def test_manifest_must_be_a_json_object_string(self, tmp_path, manifest):
+        path = saved(tmp_path)
+        C.save_arrays(path, {**C.load_arrays(path), "manifest": manifest})
+        with pytest.raises(D.DataError, match=re.escape(f"malformed dataset {path}: manifest: ")):
+            D.load_dataset(path)
+
+    def test_old_dataset_directory_rejected(self, tmp_path):
+        root = tmp_path / "ds"
+        root.mkdir()
+        (root / "manifest.json").write_text("{}")
+        with pytest.raises(D.DataError, match=re.escape(f"cannot load dataset {root}")):
+            D.load_dataset(root)
 
     def test_normalized_output_stats(self):
         ds = D.gen_synthetic("pattern-class", 4, 200, seed=6)

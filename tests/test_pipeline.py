@@ -13,10 +13,12 @@ from noah import pipeline as P
 from noah import space as S
 from noah import supernet as SN
 from noah import tensor as T
+from noah.checkpoint import load_arrays, save_arrays
 from noah.cli import main
 from noah.config import ConfigError, config_from_dict, load_run_config
 from noah.data import (
-    channel_stats, gen_mixed_base_task, gen_synthetic, normalize_images, save_dataset,
+    channel_stats, gen_mixed_base_task, gen_synthetic, load_dataset, normalize_images,
+    save_dataset,
 )
 from noah.evolution import SearchTrace, evolve
 from noah.optim import AdamW, batch_slices, full_region, lr_at
@@ -334,17 +336,17 @@ class TestCli:
     def test_run_writes_every_output(self, tmp_path, capsys):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(TINY))
-        save_dataset(gen_synthetic("pattern-class", 4, 40, seed=3), tmp_path / "data")
+        save_dataset(gen_synthetic("pattern-class", 8, 1000, seed=3), tmp_path / "data.npz")
         out = tmp_path / "out"
-        assert main(["run", "--config", str(config_path), "--data", str(tmp_path / "data"),
+        assert main(["run", "--config", str(config_path), "--data", str(tmp_path / "data.npz"),
                      "--out", str(out)]) == 0
 
         resolved = load_run_config(out / "config.json")
         assert resolved.seed == TINY["seed"]
-        assert resolved.dataset.path == str(tmp_path / "data")
+        assert resolved.dataset.path == str(tmp_path / "data.npz")
         trace = SearchTrace.load(out / "search_trace.jsonl")
         best = S.SubnetConfig.decode(trace.generations[-1]["best_so_far"]["config"])
-        dataset = gen_synthetic("pattern-class", 4, 40, seed=3)
+        dataset = load_dataset(tmp_path / "data.npz")
         fitness = trace.generations[-1]["best_so_far"]["fitness"]
         assert P.evaluate_checkpoint(out / "supernet.noah", best, resolved, dataset,
                                      "val") == fitness
@@ -372,35 +374,36 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_bad_manifest_is_a_usage_error(self, tmp_path, capsys):
-        """A manifest whose image shape has two entries, whose splits are a
-        list or whose generator is not an object exits 2, naming the key."""
+        """A manifest whose generator is not an object, or whose normalization
+        has two means for one channel, exits 2, naming the file and the key."""
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(TINY))
         cases = [
-            ("image_shape", [16, 16], "image_shape must be three positive integers"),
-            ("splits", [], "splits must be an object"),
-            ("generator", "ab", "generator must be an object"),
+            ({"generator": "ab"}, "generator must be an object"),
+            ({"normalization": {"mean": [0.5, 0.5], "std": [0.25]}},
+             "normalization needs one mean and one std per channel"),
         ]
-        for key, value, cause in cases:
-            save_dataset(gen_synthetic("pattern-class", 4, 40, seed=3), tmp_path / "data")
-            manifest_path = tmp_path / "data" / "manifest.json"
-            manifest = json.loads(manifest_path.read_text())
-            manifest[key] = value
-            manifest_path.write_text(json.dumps(manifest))
+        path = tmp_path / "data.npz"
+        for edit, cause in cases:
+            save_dataset(gen_synthetic("pattern-class", 4, 40, seed=3), path)
+            arrays = load_arrays(path)
+            manifest = json.loads(arrays["manifest"].item())
+            arrays["manifest"] = np.array(json.dumps({**manifest, **edit}))
+            save_arrays(path, arrays)
             with pytest.raises(SystemExit) as exc:
-                main(["run", "--config", str(config_path), "--data", str(tmp_path / "data"),
+                main(["run", "--config", str(config_path), "--data", str(path),
                       "--out", str(tmp_path / "out")])
             assert exc.value.code == 2
-            assert f"{manifest_path}: {cause}" in capsys.readouterr().err
+            assert f"{path}: {cause}" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
     def test_bad_config_value_is_a_usage_error(self, tmp_path):
         """A value the config loader rejects exits 2 before any output."""
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps({**TINY, "evolution": {"parent_count": 0}}))
-        save_dataset(gen_synthetic("pattern-class", 4, 40, seed=3), tmp_path / "data")
+        save_dataset(gen_synthetic("pattern-class", 4, 40, seed=3), tmp_path / "data.npz")
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(config_path), "--data", str(tmp_path / "data"),
+            main(["run", "--config", str(config_path), "--data", str(tmp_path / "data.npz"),
                   "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
