@@ -22,8 +22,10 @@ and an old dataset directory with its ``manifest.json`` is a usage error
 naming the path.
 
 ``noah run`` sets no BLAS variable. The search scores its candidates on two
-threads only when ``OPENBLAS_NUM_THREADS=1`` is set before launch (see
-``supernet.eval_workers``; the search logs the thread count it uses). On the
+threads only when OpenBLAS is limited to one thread before launch:
+``OPENBLAS_NUM_THREADS=1``, or ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``,
+whichever OpenBLAS reads first (see ``supernet.eval_workers``; the search
+logs the thread count it uses). On the
 benchmark's ``search`` config (2 cores, seed 21), ``evolve_stage`` took
 1.47-1.70 s with the variable unset and 1.15-1.29 s with it set, to the same
 best fitness. What it does to training time is unmeasured.

@@ -4,19 +4,18 @@ Generation 0 and each generation's random candidates are exact draws from
 ``sample_uniform`` restricted to the budget (``space.budget_sampler``). Each
 later generation selects the top-k of everything evaluated so far and adds
 crossover children and mutants, each redrawn while over budget, up to
-``MAX_TRIES`` times before a budget sample takes its place. Fitness and
-parameter count are cached by encoding, so a repeated encoding costs
-nothing. Two encodings of one network (a depth over dims of 0) are two
-candidates here; a fitness function may memoize further, as the supernet
-stage (``pipeline.evolve_stage``) does by per-layer active dims. Ties break
-toward fewer parameters, then lexicographic encoding, which makes the whole
-search deterministic given one seed.
+``MAX_TRIES`` times before a budget sample takes its place. Each network is
+scored once, by its ``active_dims()``, and fitness and parameter count are
+cached by encoding, so a repeated encoding or a twin (another encoding of a
+network, a depth over dims of 0) costs nothing. Ranking and the trace are
+kept by encoding. Ties break toward fewer parameters, then lexicographic
+encoding, which makes the whole search deterministic given one seed.
 
 The fitness function is called once per generation, in the calling thread,
-with that generation's fresh configs: deduplicated, none seen before, in
-production order. It returns one value per config, in the same order, so an
-evaluator can share work across a generation's candidates (the supernet's
-shared-prefix walk does). It may use threads internally, as
+with the networks new among that generation's fresh encodings: each one's
+first config in production order. It returns one value per config, in the
+same order, so an evaluator can share work across a generation's candidates
+(the supernet's shared-prefix walk does). It may use threads internally, as
 ``supernet.evaluate`` does, provided it has joined them when it returns.
 """
 
@@ -164,14 +163,17 @@ def evolve(
     """Run the search; returns the best config and the full trace.
 
     Fitness is any deterministic map from a list of configs to one value per
-    config (higher is better); production code passes inherited-weight
-    validation accuracy. Each generation record holds ``fresh`` (configs sent
-    to ``fitness_fn``) and ``cache_hits`` (candidates answered without it,
-    repeats within the generation included). ``counts`` is a tally the
-    fitness function adds to; each record also holds how much every key of
-    it grew during that generation.
+    config (higher is better) that depends on a config only through
+    ``active_dims()``; production code passes inherited-weight validation
+    accuracy, whose forward reads nothing else. Each generation record holds
+    ``fresh`` (encodings not seen before), ``scored`` (networks sent to
+    ``fitness_fn``) and ``cache_hits`` (candidates of an encoding seen
+    before, repeats within the generation included). ``counts`` is a tally
+    the fitness function adds to; each record also holds how much every key
+    of it grew during that generation.
     """
     cache: dict[str, tuple[float, int]] = {}  # encoding -> (fitness, params)
+    scores: dict[tuple, float] = {}  # active dims -> fitness
     trace = SearchTrace(
         meta={"schedule": asdict(schedule), "budget": spec.budget, "seed": seed_note}
     )
@@ -197,12 +199,19 @@ def evolve(
         for enc, (_, config) in zip(encodings, batch):
             if enc not in cache:
                 fresh.setdefault(enc, config)
+        new = {}  # active dims -> first config of a network not scored yet
+        for config in fresh.values():
+            if config.active_dims() not in scores:
+                new.setdefault(config.active_dims(), config)
         before = dict(counts or {})
-        if fresh:
-            values = fitness_fn(list(fresh.values()))
-            for (enc, config), value in zip(fresh.items(), values, strict=True):
-                cache[enc] = (float(value), count_params(config, spec.embed_dim))
-        record = {"generation": gen, "fresh": len(fresh), "cache_hits": len(batch) - len(fresh)}
+        if new:
+            values = fitness_fn(list(new.values()))
+            for network, value in zip(new, values, strict=True):
+                scores[network] = float(value)
+        for enc, config in fresh.items():
+            cache[enc] = (scores[config.active_dims()], count_params(config, spec.embed_dim))
+        record = {"generation": gen, "fresh": len(fresh), "scored": len(new),
+                  "cache_hits": len(batch) - len(fresh)}
         for key, value in (counts or {}).items():
             record[key] = value - before.get(key, 0)
         record["candidates"] = [
@@ -237,8 +246,9 @@ def evolve(
             batch.append(("random", sample(rng)))
         ranking = run_generation(gen, batch)
     best = trace.generations[-1]["best_so_far"]
-    log.info("search done: best %s fitness %.4f (%d params)",
-             best["config"], best["fitness"], best["params"])
+    log.info("search done: %d networks scored for %d fresh encodings; best %s fitness %.4f "
+             "(%d params)", len(scores), len(cache), best["config"], best["fitness"],
+             best["params"])
     return SubnetConfig.decode(best["config"]), trace
 
 

@@ -71,12 +71,18 @@ def build_frozen_backbone(
     """Initialize, pretrain on the mixed synthetic base task (images
     normalized by their own channel stats) as a model with no prompt
     tensors, freeze, and re-point the head at the downstream class count.
-    Returns the weights, the search spec and the pretraining log."""
+    Returns the weights, the search spec and the pretraining log. A budget
+    that not even the smallest config fits raises ``ConfigError`` before
+    pretraining."""
     pt = run.pretrain
     rng = np.random.default_rng(pt.seed)
     pre_cfg = dataclasses.replace(cfg, num_classes=pt.num_classes)
     weights = init_backbone(pre_cfg, rng)
     spec = search_spec(run, weights)
+    try:  # fail before any training if not even the smallest config fits
+        S.budget_sampler(spec)
+    except S.SpaceError as exc:
+        raise ConfigError(f"search_space: {exc}") from exc
     pretrain_log: list[dict] = []
     if pt.epochs > 0:
         images, labels = gen_mixed_base_task(
@@ -98,10 +104,6 @@ def train_supernet_stage(
 ) -> tuple[PromptedModel, dict[str, list[dict]]]:
     cfg = backbone_config(run, dataset)
     weights, spec, pretrain_log = build_frozen_backbone(run, cfg)
-    try:  # fail before supernet training if not even the smallest config fits
-        S.budget_sampler(spec)
-    except S.SpaceError as exc:
-        raise ConfigError(f"search_space: {exc}") from exc
     rng = np.random.default_rng(run.seed)
     sn = build_supernet(weights, cfg, spec, rng)
     images, labels = dataset.normalized("train")
@@ -120,39 +122,14 @@ def evolve_stage(
     run: RunConfig, sn: PromptedModel, dataset: Dataset
 ) -> tuple[S.SubnetConfig, SearchTrace]:
     """Search ``sn`` by val accuracy with inherited weights, with seed
-    ``run.seed + 1``.
-
-    ``evolve`` caches fitness by encoding, but a depth over dims of 0
-    re-encodes a network (``A3;1,0,0,0`` is ``A1;1,0,0,0``). So the fitness
-    keeps, for this call only, each network's accuracy by its
-    ``active_dims()`` and sends ``evaluate`` only the networks not scored
-    yet, in first-seen order. A twin gets the very accuracy ``evaluate``
-    would return, so the search and its trace are those of a fitness that
-    evaluates every config. Each trace generation records beside ``fresh``
-    the networks it ``scored``, and the total is logged."""
+    ``run.seed + 1``. Each trace generation also records the blocks that
+    ``evaluate`` ran (``counts``)."""
     images, labels = dataset.normalized("val")
-    rng = np.random.default_rng(run.seed + 1)
-    counts: dict[str, int] = {"scored": 0}
-    accuracy: dict[tuple, float] = {}  # active dims -> val accuracy
-
-    def fitness(configs: list[S.SubnetConfig]) -> list[float]:
-        networks = [config.active_dims() for config in configs]
-        new: dict[tuple, S.SubnetConfig] = {}
-        for network, config in zip(networks, configs):
-            if network not in accuracy:
-                new.setdefault(network, config)
-        counts["scored"] += len(new)
-        if new:
-            values = evaluate(sn, images, labels, list(new.values()), counts=counts)
-            accuracy.update(zip(new, values))
-        return [accuracy[network] for network in networks]
-
+    counts: dict[str, int] = {}
     log.info("searching: candidates scored on %d thread(s)", eval_workers())
-    best, trace = evolve(fitness, sn.spec, run.evolution, rng, seed_note=run.seed + 1,
-                         counts=counts)
-    log.info("search scored %d networks for %d fresh encodings", counts["scored"],
-             sum(g["fresh"] for g in trace.generations))
-    return best, trace
+    return evolve(lambda configs: evaluate(sn, images, labels, configs, counts=counts),
+                  sn.spec, run.evolution, np.random.default_rng(run.seed + 1),
+                  seed_note=run.seed + 1, counts=counts)
 
 
 def retrain_stage(

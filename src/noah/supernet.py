@@ -156,14 +156,15 @@ _OPENBLAS = "openblas" in getattr(np.__config__, "CONFIG", {}).get(
 
 def eval_workers() -> int:
     """Threads ``evaluate`` runs at once. 1 unless numpy's BLAS is OpenBLAS
-    limited to one thread per call (the first positive ``OPENBLAS_NUM_THREADS``
-    or ``OMP_NUM_THREADS``, as OpenBLAS reads them, is 1); then the usable
-    CPUs, at most ``EVAL_WORKERS_MAX``. A multi-threaded OpenBLAS serialises
-    the GEMMs of two calling threads, which made a threaded search ~50%
-    slower, so with BLAS threads left at their default evaluation stays in
-    the calling thread."""
+    limited to one thread per call (the first positive of
+    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``,
+    read in that order as OpenBLAS reads them, is 1); then the usable CPUs,
+    at most ``EVAL_WORKERS_MAX``. A multi-threaded OpenBLAS serialises the
+    GEMMs of two calling threads, which made a threaded search ~50% slower,
+    so with BLAS threads left at their default evaluation stays in the
+    calling thread."""
     blas = None
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(var, "").strip()
         if value.isdigit() and int(value) > 0:
             blas = int(value)

@@ -8,9 +8,11 @@ retrains of the best config. Pretraining runs at base_lr 1e-2: at the default
 networks apart. ``golden/tiny_run.json`` holds its outputs, in three groups:
 
 * ``exact``: every search-trace candidate (encoding, fitness, params,
-  source) and ``best_so_far``, the best config, ``evaluate_checkpoint`` of
-  the saved supernet and retrained-subnet checkpoints, and the retrain and
-  scratch accuracies. These are equal under every OpenBLAS kernel tried.
+  source), ``best_so_far`` and each generation's work counters (fresh
+  encodings, networks scored, cache hits, blocks run), the best config,
+  ``evaluate_checkpoint`` of the saved supernet and retrained-subnet
+  checkpoints, and the retrain and scratch accuracies. These are equal under
+  every OpenBLAS kernel tried.
 * ``losses``: per-epoch training losses of every stage, compared to
   ``LOSS_RTOL``; OpenBLAS kernels move them by ~1e-8 relative.
 * ``digest``: sha256 of the name-sorted weight arrays' dtypes, shapes and
@@ -42,6 +44,10 @@ from noah.data import gen_synthetic
 
 FIXTURE = Path(__file__).with_name("golden") / "tiny_run.json"
 LOSS_RTOL = 1e-6
+# What ``exact.trace`` keeps of each search generation: its candidates and
+# best so far, and the work counters.
+TRACE_KEYS = ("candidates", "best_so_far", "fresh", "scored", "cache_hits",
+              "block_trunks", "block_forwards")
 RECIPE = {
     "seed": 3,
     "backbone": {"num_layers": 2, "embed_dim": 16, "num_heads": 2, "mlp_hidden": 32},
@@ -79,8 +85,7 @@ def run_recipe(workdir: Path) -> dict:
     }
     return {
         "exact": {
-            "trace": [{"candidates": g["candidates"], "best_so_far": g["best_so_far"]}
-                      for g in trace.generations],
+            "trace": [{key: g[key] for key in TRACE_KEYS} for g in trace.generations],
             "best_config": best.encode(),
             "supernet_checkpoint_fitness": reloaded["supernet"],
             "subnet_checkpoint_val_acc": reloaded["subnet"],

@@ -23,14 +23,15 @@ _W = np.random.default_rng(1234).uniform(0.2, 1.0, (3, 2))
 
 
 def toy_fitness(cfg: S.SubnetConfig) -> float:
-    """Deterministic synthetic fitness over the genes."""
+    """Deterministic synthetic fitness of the network: like any fitness
+    ``evolve`` takes, it reads a config only through ``active_dims()``."""
+    active = cfg.active_dims()
     score = 0.0
-    for mi, m in enumerate(S.MODULES):
-        g = cfg.gene(m)
-        for i, d in enumerate(g.dims):
+    for mi, dims in enumerate(active):
+        for i, d in enumerate(dims):
             score += float(_W[mi, i]) * d
-        score += 0.1 * g.depth
-    score += 0.25 * cfg.adapter.dims[0] * cfg.vpt.dims[0]
+        score += 0.1 * sum(d > 0 for d in dims)
+    score += 0.25 * active[0][0] * active[2][0]
     return score
 
 
@@ -100,25 +101,40 @@ class TestEvolve:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_duplicates_hit_cache(self):
-        """One fitness call per generation, holding exactly that generation's
-        unseen configs, deduplicated, in production order."""
+        """One fitness call per generation that has a network not scored
+        before: it holds those networks, each as its first fresh encoding in
+        production order. A twin, and a repeated encoding, is traced with its
+        network's fitness. Seed 3 draws twins."""
         spec = toy_spec()
-        calls = []
+        calls, fitness = [], {}  # active dims -> value returned for it
 
         def counting_fitness(configs):
             calls.append([c.encode() for c in configs])
-            return toy_batch(configs)
+            values = toy_batch(configs)
+            fitness.update(zip((c.active_dims() for c in configs), values))
+            return values
 
-        schedule = small_schedule()
-        _, trace = E.evolve(counting_fitness, spec, schedule, np.random.default_rng(3))
-        assert len(calls) == schedule.generations + 1
-        seen = set()
-        for call, generation in zip(calls, trace.generations):
+        _, trace = E.evolve(counting_fitness, spec, small_schedule(), np.random.default_rng(3))
+        seen, scored, rest = set(), set(), iter(calls)
+        for generation in trace.generations:
             batch = [c["config"] for c in generation["candidates"]]
-            assert call == list(dict.fromkeys(e for e in batch if e not in seen))
-            assert generation["fresh"] == len(call)
-            assert generation["cache_hits"] == len(batch) - len(call)
-            seen |= set(call)
+            fresh = list(dict.fromkeys(e for e in batch if e not in seen))
+            new = {}
+            for enc in fresh:
+                network = S.SubnetConfig.decode(enc).active_dims()
+                if network not in scored:
+                    new.setdefault(network, enc)
+            call = next(rest) if new else []
+            assert call == list(new.values())
+            assert generation["scored"] == len(call)
+            assert generation["fresh"] == len(fresh)
+            assert generation["cache_hits"] == len(batch) - len(fresh)
+            seen |= set(fresh)
+            scored |= set(new)
+            for c in generation["candidates"]:
+                assert c["fitness"] == fitness[S.SubnetConfig.decode(c["config"]).active_dims()]
+        assert next(rest, None) is None
+        assert any(g["scored"] < g["fresh"] for g in trace.generations)  # twins drawn
         assert len(trace.all_candidates()) > len(seen)  # some candidates repeated
 
     def test_finds_near_optimum_on_toy_space(self):

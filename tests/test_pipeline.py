@@ -20,7 +20,7 @@ from noah.data import (
     channel_stats, gen_mixed_base_task, gen_synthetic, load_dataset, normalize_images,
     save_dataset,
 )
-from noah.evolution import SearchTrace, evolve
+from noah.evolution import SearchTrace
 from noah.optim import AdamW, batch_slices, full_region, lr_at
 
 from gradcheck import reference_forward
@@ -140,9 +140,10 @@ class TestConfig:
 
 class TestStages:
     def test_baseline_matches_budget(self):
-        run, dataset = tiny_run(search_space={"budget": 100})
+        run, dataset = tiny_run()
         sn = untrained_supernet(run, dataset)
-        config = P.matched_budget_single_module(sn.spec, "lora")
+        # below the smallest search config (129 params), which the stages reject
+        config = P.matched_budget_single_module(dataclasses.replace(sn.spec, budget=100), "lora")
         model, log = P.scratch_stage(run, sn, config, dataset)
         # lora at dim 2 or at depth 2 exceeds 100 parameters
         assert config == S.SubnetConfig.uniform("lora", 1, 1, 2)
@@ -258,6 +259,13 @@ class TestStages:
     def test_infeasible_budget_fails_before_supernet_training(self, monkeypatch):
         run, dataset = tiny_run(search_space={"budget": 50})
         monkeypatch.setattr(P, "build_supernet", lambda *a: pytest.fail("supernet built"))
+        with pytest.raises(ConfigError, match="budget 50: the smallest has 129 params"):
+            P.train_supernet_stage(run, dataset)
+
+    def test_infeasible_budget_fails_before_pretraining(self, monkeypatch):
+        run, dataset = tiny_run(pretrain={"epochs": 3, "samples": 32},
+                                search_space={"budget": 50})
+        monkeypatch.setattr(P, "train_model", lambda *a, **k: pytest.fail("model trained"))
         with pytest.raises(ConfigError, match="budget 50: the smallest has 129 params"):
             P.train_supernet_stage(run, dataset)
 
@@ -397,6 +405,21 @@ class TestCli:
             assert f"{path}: {cause}" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_config_is_a_usage_error(self, tmp_path, capsys, kind):
+        """A config path that is a directory, or a file that is not UTF-8,
+        exits 2 naming the path, not with a traceback."""
+        config_path = tmp_path / "run.json"
+        if kind == "directory":
+            config_path.mkdir()
+        else:
+            config_path.write_bytes(b'{"seed": "\xff"}')
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"{config_path}: unreadable config file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_value_is_a_usage_error(self, tmp_path):
         """A value the config loader rejects exits 2 before any output."""
         config_path = tmp_path / "run.json"
@@ -424,48 +447,35 @@ class TestSearch:
         assert P.evaluate_checkpoint(path, best, run, dataset, "val") == fitness
 
     def test_fitness_scores_each_network_once(self, monkeypatch):
-        """A twin, another encoding of a network already scored, gets that
-        network's accuracy and never reaches ``evaluate``."""
+        """``evaluate`` receives each network once per search, so a twin,
+        another encoding of a network already scored, never reaches it.
+        Seed 3 draws twins."""
         run, dataset = tiny_run()
         sn, _ = P.train_supernet_stage(run, dataset)
-        a = S.SubnetConfig.decode("A1;2,0|L1;1,0|V1;2,0")
-        twin = S.SubnetConfig.decode("A2;2,0|L1;1,0|V1;2,0")  # a's adapter off at layer 1
-        b = S.SubnetConfig.decode("A1;1,0|L1;1,0|V1;2,0")  # another network
-        sent, values, tallies = [], [], []
+        sent = []
         evaluate = P.evaluate
 
         def recording(model, images, labels, configs, **kwargs):
-            sent.append([c.encode() for c in configs])
+            sent.extend(configs)
             return evaluate(model, images, labels, configs, **kwargs)
 
-        def fake_evolve(fitness, spec, schedule, rng, seed_note=None, counts=None):
-            values.append(fitness([a]))
-            values.append(fitness([twin, b]))
-            tallies.append(dict(counts))
-            return a, SearchTrace({})
-
         monkeypatch.setattr(P, "evaluate", recording)
-        monkeypatch.setattr(P, "evolve", fake_evolve)
-        P.evolve_stage(run, sn, dataset)
-        assert sent == [[a.encode()], [b.encode()]]
-        images, labels = dataset.normalized("val")
-        expected = evaluate(sn, images, labels, [a, twin, b])
-        assert values == [expected[:1], expected[1:]]
-        assert tallies[0]["scored"] == 2
+        _, trace = P.evolve_stage(run, sn, dataset)
+        assert any(g["scored"] < g["fresh"] for g in trace.generations)
+        networks = [config.active_dims() for config in sent]
+        assert len(set(networks)) == len(networks) == sum(g["scored"] for g in trace.generations)
 
     def test_trace_equals_evaluating_every_config(self):
-        """The memo changes only the work: the trace is that of a fitness
-        that evaluates every fresh encoding. Seed 3 draws twins."""
+        """Every candidate, a twin included, is traced with the accuracy
+        ``evaluate`` gives its config alone. Seed 3 draws twins."""
         run, dataset = tiny_run()
         sn, _ = P.train_supernet_stage(run, dataset)
         _, trace = P.evolve_stage(run, sn, dataset)
         assert any(g["scored"] < g["fresh"] for g in trace.generations)
         images, labels = dataset.normalized("val")
-        _, plain = evolve(lambda configs: SN.evaluate(sn, images, labels, configs),
-                          sn.spec, run.evolution, np.random.default_rng(run.seed + 1))
-        for got, want in zip(trace.generations, plain.generations, strict=True):
-            assert got["candidates"] == want["candidates"]
-            assert got["best_so_far"] == want["best_so_far"]
+        for c in trace.all_candidates():
+            config = S.SubnetConfig.decode(c["config"])
+            assert c["fitness"] == SN.evaluate(sn, images, labels, [config])[0], c["config"]
 
     def test_trace_counts_block_forwards(self, monkeypatch):
         # one worker: the trace counts one walk per evaluation, while this

@@ -423,9 +423,11 @@ class TestEvaluateWorkers:
         ({"OMP_NUM_THREADS": "1"}, 4, 2),
         ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, 1),
         ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4, 2),
+        ({"GOTO_NUM_THREADS": "1"}, 2, 2),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1),
     ])
     def test_worker_count_from_blas_threads(self, env, cpus, expected, monkeypatch):
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
