@@ -13,7 +13,11 @@ and 1,000 images::
 * ``config.json``: the resolved run config, defaults filled in;
 * ``supernet.noah`` and ``subnet.noah``: the trained supernet and the
   retrained best subnet (``checkpoint`` format, an ``np.savez`` archive);
-* ``search_trace.jsonl``: the search trace (``SearchTrace.load`` reads it);
+* ``search_trace.jsonl``: the search trace, as JSON lines: one ``meta`` line
+  (``schedule``, ``budget``, ``seed``), then one ``generation`` line per
+  generation with its index (``generation``), ``candidates``,
+  ``best_so_far``, ``fresh``, ``scored``, ``cache_hits``, ``block_trunks``
+  and ``block_forwards``;
 * ``report.txt``: the search summary from ``evolution.report``.
 
 Checkpoints and datasets from before both became ``np.savez`` archives no
@@ -65,18 +69,21 @@ def main(argv: list[str] | None = None) -> int:
         missing = {"train", "val"} - set(dataset.splits)
         if missing:
             raise DataError(f"{run.dataset.path}: no {sorted(missing)} split")
-    except (ConfigError, DataError) as exc:
+        empty = [name for name in ("train", "val") if len(dataset.splits[name][1]) == 0]
+        if empty:
+            raise DataError(f"{run.dataset.path}: empty {empty} split")
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+    except (ConfigError, DataError, OSError) as exc:
         parser.error(str(exc))
 
     logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_resolved(run, out)
     sn, _ = P.train_supernet_stage(run, dataset)
     P.save_model_weights(out / "supernet.noah", sn.weights)
     best, trace = P.evolve_stage(run, sn, dataset)
     trace.save(out / "search_trace.jsonl")
-    text, _ = report(trace)
+    text = report(trace)
     with atomic_write(out / "report.txt") as f:
         f.write(text.encode())
     model, retrain_log = P.retrain_stage(run, sn, best, dataset)

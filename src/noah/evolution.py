@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,14 +81,16 @@ class EvolutionSchedule:
 
 
 class SearchTrace:
-    """Per-generation record of every candidate and the best-so-far curve."""
+    """Per-generation record of every candidate and the best-so-far curve.
+
+    ``save`` writes it for people to read, as JSON lines: one ``meta`` line
+    (``schedule``, ``budget``, ``seed``), then one ``generation`` line per
+    generation with the record ``evolve`` built. No noah code reads it back.
+    """
 
     def __init__(self, meta: dict):
         self.meta = meta
         self.generations: list[dict] = []
-
-    def add_generation(self, record: dict) -> None:
-        self.generations.append(record)
 
     def best_so_far_curve(self) -> list[float]:
         return [g["best_so_far"]["fitness"] for g in self.generations]
@@ -103,43 +104,6 @@ class SearchTrace:
             for record in self.generations:
                 line = json.dumps({"type": "generation", **record}, sort_keys=True) + "\n"
                 f.write(line.encode())
-
-    @staticmethod
-    def load(path) -> "SearchTrace":
-        lines = Path(path).read_text().splitlines()
-        if not lines:
-            raise EvolutionError(f"empty trace file {path}")
-        records = []
-        for number, line in enumerate(lines, 1):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EvolutionError(f"{path}:{number}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise EvolutionError(f"{path}:{number}: record is not a JSON object")
-            records.append(record)
-        meta = records[0]
-        if meta.pop("type", None) != "meta":
-            raise EvolutionError(f"{path} does not start with a meta record")
-        trace = SearchTrace(meta)
-        for number, record in enumerate(records[1:], 2):
-            kind = record.pop("type", None)
-            if kind != "generation":
-                raise EvolutionError(f"{path}:{number}: unexpected record type {kind!r} in trace")
-            missing = [key for key in ("candidates", "best_so_far") if key not in record]
-            if missing:
-                raise EvolutionError(f"{path}:{number}: generation record lacks {missing}")
-            if not isinstance(record["candidates"], list):
-                raise EvolutionError(f"{path}:{number}: candidates is not a list")
-            entries = [(f"candidate {i}", c, ("source", "config", "fitness", "params"))
-                       for i, c in enumerate(record["candidates"])]
-            entries.append(("best_so_far", record["best_so_far"], ("config", "fitness", "params")))
-            for where, entry, keys in entries:
-                missing = [key for key in keys if not isinstance(entry, dict) or key not in entry]
-                if missing:
-                    raise EvolutionError(f"{path}:{number}: {where} lacks {missing}")
-            trace.add_generation(record)
-        return trace
 
 
 def _ranked(entries: dict[str, tuple[float, int]]) -> list[tuple[str, float, int]]:
@@ -221,7 +185,7 @@ def evolve(
         ranking = _ranked(cache)
         enc, fitness, params = ranking[0]
         record["best_so_far"] = {"config": enc, "fitness": fitness, "params": params}
-        trace.add_generation(record)
+        trace.generations.append(record)
         return ranking
 
     batch = [("init", sample(rng)) for _ in range(schedule.initial_population)]
@@ -256,44 +220,27 @@ def evolve(
 # reporting
 
 
-def report(trace: SearchTrace) -> tuple[str, dict]:
-    """Human-readable summary plus a structured dict: best config, fitness
-    curve, and per-module per-layer average dimensions among the ``TOP_K``
-    fittest configs."""
+def report(trace: SearchTrace) -> str:
+    """The search summary for people to read: the best config, its fitness
+    and params, the best-so-far curve, and per-module per-layer average
+    dimensions among the ``TOP_K`` fittest configs."""
     if not trace.generations:
         raise EvolutionError("empty trace")
     final = trace.generations[-1]["best_so_far"]
-    best = SubnetConfig.decode(final["config"])
-
     ranked = _ranked({c["config"]: (c["fitness"], c["params"]) for c in trace.all_candidates()})
     top = [SubnetConfig.decode(enc) for enc, _, _ in ranked[:TOP_K]]
-    layer_count = top[0].num_layers
-    averages = {
-        m: [
-            float(np.mean([cfg.active_dim(m, layer) for cfg in top]))
-            for layer in range(layer_count)
-        ]
-        for m in MODULES
-    }
-
-    summary = {
-        "best": final,
-        "best_document": best.to_dict(),
-        "fitness_curve": trace.best_so_far_curve(),
-        "evaluations_per_generation": [len(g["candidates"]) for g in trace.generations],
-        "top_k": [enc for enc, _, _ in ranked[:TOP_K]],
-        "average_dims_top_k": averages,
-    }
-
     lines = [
         "search report",
         f"  best config : {final['config']}",
         f"  fitness     : {final['fitness']:.4f}",
         f"  params      : {final['params']}",
-        "  best-so-far : " + ", ".join(f"{v:.4f}" for v in summary["fitness_curve"]),
+        "  best-so-far : " + ", ".join(f"{v:.4f}" for v in trace.best_so_far_curve()),
         f"  average dims over top-{len(top)} configs (per layer):",
     ]
     for m in MODULES:
-        dims = ", ".join(f"{v:.1f}" for v in averages[m])
+        dims = ", ".join(
+            f"{np.mean([cfg.active_dim(m, layer) for cfg in top]):.1f}"
+            for layer in range(top[0].num_layers)
+        )
         lines.append(f"    {m:<7}: {dims}")
-    return "\n".join(lines) + "\n", summary
+    return "\n".join(lines) + "\n"

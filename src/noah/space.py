@@ -87,15 +87,6 @@ class SubnetConfig:
             raise SpaceError(f"genes differ in their number of dims: {text!r}")
         return SubnetConfig(**genes)
 
-    def to_dict(self) -> dict:
-        """Keyed document form: the layer count and each module's depth and
-        per-layer dims, as JSON-ready values."""
-        doc = {"num_layers": self.num_layers}
-        for m in MODULES:
-            g = self.gene(m)
-            doc[m] = {"depth": g.depth, "dims": list(g.dims)}
-        return doc
-
     @staticmethod
     def empty(num_layers: int) -> "SubnetConfig":
         zero = ModuleGene(0, (0,) * num_layers)

@@ -1,6 +1,5 @@
 import itertools
 import json
-import re
 
 import numpy as np
 import pytest
@@ -166,13 +165,15 @@ class TestEvolve:
 
 class TestTraceFile:
     def test_roundtrip(self, tmp_path):
+        """The file is the meta record, then one record per generation."""
         spec = toy_spec()
         _, trace = E.evolve(toy_batch, spec, small_schedule(), np.random.default_rng(6))
         p = tmp_path / "trace.jsonl"
         trace.save(p)
-        loaded = E.SearchTrace.load(p)
-        assert loaded.meta == trace.meta
-        assert loaded.generations == trace.generations
+        assert [json.loads(line) for line in p.read_text().splitlines()] == [
+            {"type": "meta", **trace.meta},
+            *({"type": "generation", **record} for record in trace.generations),
+        ]
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
         spec = toy_spec()
@@ -186,65 +187,6 @@ class TestTraceFile:
         assert p.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["trace.jsonl"]
 
-    @pytest.mark.parametrize("bad_line", ["{not json", "[1, 2]"])
-    def test_malformed_line_rejected(self, tmp_path, bad_line):
-        spec = toy_spec()
-        _, trace = E.evolve(toy_batch, spec, small_schedule(generations=1),
-                            np.random.default_rng(7))
-        p = tmp_path / "trace.jsonl"
-        trace.save(p)
-        lines = p.read_text().splitlines()
-        p.write_text("\n".join(lines + [bad_line]) + "\n")
-        with pytest.raises(E.EvolutionError, match=f":{len(lines) + 1}: "):
-            E.SearchTrace.load(p)
-
-    def test_unexpected_record_type_names_path_and_line(self, tmp_path):
-        spec = toy_spec()
-        _, trace = E.evolve(toy_batch, spec, small_schedule(generations=1),
-                            np.random.default_rng(7))
-        p = tmp_path / "trace.jsonl"
-        trace.save(p)
-        lines = p.read_text().splitlines()
-        lines.insert(2, json.dumps({"type": "meta", "seed": 1}))
-        p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(E.EvolutionError, match=rf"^{re.escape(str(p))}:3: unexpected record type 'meta'"):
-            E.SearchTrace.load(p)
-
-    @pytest.mark.parametrize("key", ["candidates", "best_so_far"])
-    def test_generation_without_key_names_path_and_line(self, tmp_path, key):
-        _, trace = E.evolve(toy_batch, toy_spec(), small_schedule(generations=1),
-                            np.random.default_rng(7))
-        p = tmp_path / "trace.jsonl"
-        del trace.generations[1][key]
-        trace.save(p)
-        with pytest.raises(E.EvolutionError, match=rf"^{re.escape(str(p))}:3: .*'{key}'"):
-            E.SearchTrace.load(p)
-
-    def test_candidates_not_a_list_names_path_and_line(self, tmp_path):
-        """``"candidates": 5`` used to escape as a bare TypeError."""
-        _, trace = E.evolve(toy_batch, toy_spec(), small_schedule(generations=1),
-                            np.random.default_rng(7))
-        trace.generations[1]["candidates"] = 5
-        p = tmp_path / "trace.jsonl"
-        trace.save(p)
-        with pytest.raises(E.EvolutionError,
-                           match=rf"^{re.escape(str(p))}:3: candidates is not a list"):
-            E.SearchTrace.load(p)
-
-    @pytest.mark.parametrize("where", ["candidate 1", "best_so_far"])
-    def test_entry_without_params_names_path_and_line(self, tmp_path, where):
-        """A candidate or best-so-far entry without ``params`` fails at load,
-        not as a bare KeyError in ``report``."""
-        _, trace = E.evolve(toy_batch, toy_spec(), small_schedule(generations=1),
-                            np.random.default_rng(7))
-        record = trace.generations[1]
-        del (record["candidates"][1] if where == "candidate 1" else record["best_so_far"])["params"]
-        p = tmp_path / "trace.jsonl"
-        trace.save(p)
-        with pytest.raises(E.EvolutionError,
-                           match=rf"^{re.escape(str(p))}:3: {where} lacks \['params'\]"):
-            E.SearchTrace.load(p)
-
     def test_lines_are_json(self, tmp_path):
         spec = toy_spec()
         _, trace = E.evolve(toy_batch, spec, small_schedule(generations=1),
@@ -256,28 +198,39 @@ class TestTraceFile:
         assert all(json.loads(line)["type"] == "generation" for line in lines[1:])
 
 
+def report_line(text: str, label: str) -> str:
+    """What follows ``label :`` in a report line."""
+    (line,) = [line for line in text.splitlines() if line.strip().startswith(label)]
+    return line.split(":", 1)[1].strip()
+
+
 class TestReport:
     def test_single_generation_counts(self):
         spec = toy_spec()
         schedule = small_schedule(generations=0, initial_population=12)
         _, trace = E.evolve(toy_batch, spec, schedule, np.random.default_rng(8))
-        text, summary = E.report(trace)
-        assert summary["evaluations_per_generation"] == [12]
-        assert "best config" in text
+        text = E.report(trace)
+        best = trace.generations[0]["best_so_far"]
+        assert report_line(text, "best config") == best["config"]
+        assert report_line(text, "best-so-far") == f"{best['fitness']:.4f}"
+        distinct = {c["config"] for c in trace.generations[0]["candidates"]}
+        assert f"top-{min(E.TOP_K, len(distinct))} configs" in text
 
     def test_monotone_curve_in_summary(self):
         spec = toy_spec()
         _, trace = E.evolve(toy_batch, spec, small_schedule(), np.random.default_rng(9))
-        _, summary = E.report(trace)
-        curve = summary["fitness_curve"]
+        curve = trace.best_so_far_curve()
         assert all(a <= b for a, b in zip(curve, curve[1:]))
+        assert report_line(E.report(trace), "best-so-far") == ", ".join(
+            f"{v:.4f}" for v in curve
+        )
 
     def test_averages_recomputable_from_trace_file(self, tmp_path):
         spec = toy_spec()
         _, trace = E.evolve(toy_batch, spec, small_schedule(), np.random.default_rng(10))
         p = tmp_path / "trace.jsonl"
         trace.save(p)
-        _, summary = E.report(trace)
+        text = E.report(trace)
 
         # independent recomputation from the file
         records = [json.loads(line) for line in p.read_text().splitlines()[1:]]
@@ -287,25 +240,12 @@ class TestReport:
                 seen[c["config"]] = (c["fitness"], c["params"])
         ranked = sorted(seen.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))[:E.TOP_K]
         assert len(ranked) == E.TOP_K
-        for m_idx, m in enumerate(("adapter", "lora", "vpt")):
-            for layer in range(2):
-                vals = []
-                for enc, _ in ranked:
-                    cfg = S.SubnetConfig.decode(enc)
-                    vals.append(cfg.active_dim(m, layer))
-                assert summary["average_dims_top_k"][m][layer] == pytest.approx(np.mean(vals))
-
-    def test_corrupt_config_in_loaded_trace_is_a_space_error(self, tmp_path):
-        """A top candidate whose lora depth exceeds its dims used to end the
-        report in an IndexError."""
-        _, trace = E.evolve(toy_batch, toy_spec(), small_schedule(generations=1),
-                            np.random.default_rng(8))
-        bad = "A1;1,0|L2;1|V0;0,0"
-        trace.generations[-1]["candidates"][0].update(config=bad, fitness=99.0)
-        p = tmp_path / "trace.jsonl"
-        trace.save(p)
-        with pytest.raises(S.SpaceError, match=re.escape(repr(bad))):
-            E.report(E.SearchTrace.load(p))
+        for m in ("adapter", "lora", "vpt"):
+            vals = [
+                np.mean([S.SubnetConfig.decode(enc).active_dim(m, layer) for enc, _ in ranked])
+                for layer in range(2)
+            ]
+            assert report_line(text, m) == ", ".join(f"{v:.1f}" for v in vals)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(E.EvolutionError):

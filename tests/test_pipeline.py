@@ -20,7 +20,6 @@ from noah.data import (
     channel_stats, gen_mixed_base_task, gen_synthetic, load_dataset, normalize_images,
     save_dataset,
 )
-from noah.evolution import SearchTrace
 from noah.optim import AdamW, batch_slices, full_region, lr_at
 
 from gradcheck import reference_forward
@@ -352,10 +351,10 @@ class TestCli:
         resolved = load_run_config(out / "config.json")
         assert resolved.seed == TINY["seed"]
         assert resolved.dataset.path == str(tmp_path / "data.npz")
-        trace = SearchTrace.load(out / "search_trace.jsonl")
-        best = S.SubnetConfig.decode(trace.generations[-1]["best_so_far"]["config"])
+        final = json.loads((out / "search_trace.jsonl").read_text().splitlines()[-1])
+        best = S.SubnetConfig.decode(final["best_so_far"]["config"])
         dataset = load_dataset(tmp_path / "data.npz")
-        fitness = trace.generations[-1]["best_so_far"]["fitness"]
+        fitness = final["best_so_far"]["fitness"]
         assert P.evaluate_checkpoint(out / "supernet.noah", best, resolved, dataset,
                                      "val") == fitness
         subnet = P.supernet_from_checkpoint(out / "subnet.noah", resolved, dataset)
@@ -365,21 +364,45 @@ class TestCli:
         report = (out / "report.txt").read_text()
         assert report and report in capsys.readouterr().out
 
-    @pytest.mark.parametrize("data", [None, "train-only"])
-    def test_unusable_dataset_is_a_usage_error(self, tmp_path, data):
-        """Rejected before any training: no dataset given, or no val split."""
+    @pytest.mark.parametrize("data", [None, "train-only", "empty-train", "empty-val"])
+    def test_unusable_dataset_is_a_usage_error(self, tmp_path, capsys, data):
+        """Rejected before any training: no dataset given, no val split, or a
+        train or val split with no rows."""
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(TINY))
         argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "out")]
         if data is not None:
             dataset = gen_synthetic("pattern-class", 4, 40, seed=3)
-            del dataset.splits["val"]
+            if data == "train-only":
+                del dataset.splits["val"]
+            else:
+                split = data.removeprefix("empty-")
+                images, labels = dataset.splits[split]
+                dataset.splits[split] = (images[:0], labels[:0])
             save_dataset(dataset, tmp_path / data)
             argv += ["--data", str(tmp_path / data)]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        if data is not None and data.startswith("empty-"):
+            assert f"{tmp_path / data}: empty ['{split}'] split" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_out_naming_a_file_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        """``--out`` naming an existing file exits 2 naming it, before any
+        training."""
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(TINY))
+        save_dataset(gen_synthetic("pattern-class", 4, 40, seed=3), tmp_path / "data.npz")
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        monkeypatch.setattr(P, "train_model", lambda *a, **k: pytest.fail("model trained"))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(config_path), "--data", str(tmp_path / "data.npz"),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == "not a directory"
 
     def test_bad_manifest_is_a_usage_error(self, tmp_path, capsys):
         """A manifest whose generator is not an object, or whose normalization

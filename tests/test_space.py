@@ -1,6 +1,5 @@
 import collections
 import itertools
-import json
 import math
 import re
 
@@ -358,14 +357,6 @@ class TestEncoding:
     def test_encode_decode_bijection(self, cfg):
         assert S.SubnetConfig.decode(cfg.encode()) == cfg
 
-    @given(configs())
-    @settings(max_examples=50, deadline=None)
-    def test_dict_document_roundtrip(self, cfg):
-        doc = json.loads(json.dumps(cfg.to_dict()))
-        genes = {m: S.ModuleGene(doc[m]["depth"], tuple(doc[m]["dims"])) for m in S.MODULES}
-        assert doc["num_layers"] == cfg.num_layers
-        assert S.SubnetConfig(**genes) == cfg
-
     @pytest.mark.parametrize("text, cause", [
         ("Ax;1,0|L0;0,0|V0;0,0", "adapter depth and dims must be integers"),
         ("A1;1,y|L0;0,0|V0;0,0", "adapter depth and dims must be integers"),
@@ -376,12 +367,3 @@ class TestEncoding:
     def test_corrupt_text_names_itself(self, text, cause):
         with pytest.raises(S.SpaceError, match=re.escape(cause) + ".*" + re.escape(repr(text))):
             S.SubnetConfig.decode(text)
-
-    def test_dict_is_keyed_by_module(self):
-        cfg = S.SubnetConfig.uniform("lora", 5, 2, 4)
-        assert cfg.to_dict() == {
-            "num_layers": 4,
-            "adapter": {"depth": 0, "dims": [0, 0, 0, 0]},
-            "lora": {"depth": 2, "dims": [5, 5, 0, 0]},
-            "vpt": {"depth": 0, "dims": [0, 0, 0, 0]},
-        }
